@@ -6,10 +6,18 @@ Training alternates two steps on the dual
     s.t. a'y = 0, 0 <= a <= C, beta on the simplex
 
 with Q_m the label-signed Gram matrix (y y') o K_m. The inner problem is
-a standard SVM dual solved by pairwise coordinate (SMO) updates; the
-outer step moves beta along the reduced gradient and projects back onto
-the simplex, accepting only steps that lower the inner optimum. The
-tracked objective is therefore non-increasing.
+a standard SVM dual solved by pairwise coordinate (SMO) updates with
+LIBSVM's second-order working-set selection (Fan, Chen & Lin, "Working
+set selection using second order information for training support
+vector machines", JMLR 6, 2005; Chang & Lin, ACM TIST 2011): the first
+index is the maximal violator, the second the partner whose pair update
+gives the largest lower bound on the decrease, -b^2/a, with b the
+violation and a the pair curvature. It needs far fewer iterations than
+pairing the two maximal violators; the stopping rule is still the
+maximal violation, so the KKT tolerance is unchanged. The outer step
+moves beta along the reduced gradient and projects back onto the
+simplex, accepting only steps that lower the inner optimum. The tracked
+objective is therefore non-increasing.
 
 Raw margins are mapped to probabilities by a Platt sigmoid fitted on
 held-out scores. verify_visualness() runs the 2-fold cross-validation
@@ -224,13 +232,19 @@ def _smo(
     c: float,
     tol: float,
     alpha0: np.ndarray | None = None,
+    *,
+    concept_id: str = "",
 ) -> tuple[np.ndarray, float, float]:
     """Minimize 1/2 a'Qa - 1'a subject to a'y = 0, 0 <= a <= C by
-    maximal-violating-pair updates. Returns (alpha, bias, objective)."""
+    pairwise updates on a second-order working set: i is the maximal
+    violator, j the partner with the largest guaranteed decrease.
+    Stops when the maximal violation drops below tol. Returns
+    (alpha, bias, objective)."""
     n = y.size
     alpha = np.zeros(n) if alpha0 is None else alpha0.copy()
     grad = q @ alpha - 1.0 if alpha0 is not None else -np.ones(n)
     pos = y > 0
+    diag = np.diag(q).copy()
     max_iter = max(20_000, 50 * n)
     for _ in range(max_iter):
         vals = -y * grad
@@ -239,11 +253,12 @@ def _smo(
         if not up.any() or not low.any():
             break
         vi = np.where(up, vals, -np.inf)
-        vj = np.where(low, vals, np.inf)
         i = int(np.argmax(vi))
-        j = int(np.argmin(vj))
-        if vi[i] - vj[j] < tol:
+        if vi[i] - vals[low].min() < tol:
             break
+        b = vi[i] - vals
+        a = np.maximum(diag[i] + diag - 2.0 * y[i] * y * q[i], _TAU)
+        j = int(np.argmin(np.where(low & (b > 0), -b * b / a, np.inf)))
         old_i, old_j = alpha[i], alpha[j]
         if y[i] != y[j]:
             quad = q[i, i] + q[j, j] + 2.0 * q[i, j]
@@ -282,8 +297,10 @@ def _smo(
         alpha[i], alpha[j] = ai, aj
         grad += q[:, i] * (ai - old_i) + q[:, j] * (aj - old_j)
     else:
-        warnings.warn("SMO iteration cap reached before KKT tolerance",
-                      RuntimeWarning, stacklevel=2)
+        warnings.warn(
+            f"SMO iteration cap reached before KKT tolerance ({concept_id or 'unnamed'})",
+            RuntimeWarning, stacklevel=2,
+        )
 
     vals = -y * grad
     free = (alpha > _TAU) & (alpha < c - _TAU)
@@ -314,7 +331,7 @@ def train_mklsvm(
 
     def inner(b: np.ndarray, warm: np.ndarray | None):
         q = sum(w * s for w, s in zip(b, signed)) + ridge
-        alpha, bias, f_min = _smo(q, y, problem.C, tol, warm)
+        alpha, bias, f_min = _smo(q, y, problem.C, tol, warm, concept_id=concept_id)
         return alpha, bias, -f_min  # dual maximum value
 
     alpha, bias, best = inner(beta, None)

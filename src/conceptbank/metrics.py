@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import PreconditionError
 
 
@@ -35,16 +37,20 @@ def average_precision(ranking: LabeledRanking) -> float:
     Raises PreconditionError when the list contains no relevant item
     (AP is undefined there; the caller decides how to treat it).
     """
-    total_relevant = sum(1 for i in ranking.ordering if ranking.relevance[i])
-    if total_relevant == 0:
+    return _ap_in_rank_order(
+        np.array([bool(ranking.relevance[i]) for i in ranking.ordering], dtype=bool)
+    )
+
+
+def _ap_in_rank_order(relevant: np.ndarray) -> float:
+    """AP of a boolean relevance vector listed best first."""
+    if not relevant.any():
         raise PreconditionError("average precision undefined: no relevant items")
-    hits = 0
-    precision_sum = 0.0
-    for k, item in enumerate(ranking.ordering, start=1):
-        if ranking.relevance[item]:
-            hits += 1
-            precision_sum += hits / k
-    return precision_sum / total_relevant
+    hits = np.cumsum(relevant)[relevant]
+    ranks = np.flatnonzero(relevant) + 1
+    # added one rank at a time, so the value does not depend on numpy's
+    # pairwise summation and matches the precision@k definition exactly
+    return sum((hits / ranks).tolist()) / hits.size
 
 
 def mean_average_precision(rankings: Sequence[LabeledRanking]) -> float:
@@ -66,8 +72,5 @@ def ap_from_arrays(scores: Sequence[float], labels: Sequence[int]) -> float:
     """AP for parallel score/label arrays; ties broken by position."""
     if len(scores) != len(labels):
         raise PreconditionError("scores and labels differ in length")
-    ids = [f"i{k:06d}" for k in range(len(scores))]
-    return ap_from_scores(
-        dict(zip(ids, (float(s) for s in scores))),
-        dict(zip(ids, (int(bool(v)) for v in labels))),
-    )
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    return _ap_in_rank_order((np.asarray(labels) != 0)[order])

@@ -105,15 +105,18 @@ def represent(
     stacked = {
         ch: np.stack([fs.vectors[ch] for fs in feature_sets]) for ch in channels
     }
-    per_concept = np.empty((len(concept_ids), len(feature_sets)), dtype=np.float64)
-    for row, cid in enumerate(concept_ids):
+    # a layout may repeat a concept (one slot per plan); score each once
+    unique = {cid: row for row, cid in enumerate(dict.fromkeys(concept_ids))}
+    per_concept = np.empty((len(unique), len(feature_sets)), dtype=np.float64)
+    for cid, row in unique.items():
         model = detectors[cid]
         feats = {ch: stacked[ch] for ch in model.channels}
         per_concept[row] = model.calibrated(model.raw_score_matrix(feats))
+    pooled = per_concept.mean(axis=1)
     return VideoRepresentation(
         video_id=entry.video_id,
         concept_ids=list(concept_ids),
-        scores=per_concept.mean(axis=1),
+        scores=pooled[[unique[cid] for cid in concept_ids]],
         frames_used=len(feature_sets),
     )
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,41 @@ def test_trained_model_satisfies_kkt():
             alpha[k] = model.alpha[sv_rows[key]]
     kernel = problem.gram[0] + 0.01 * np.outer(y, y) * np.eye(10)
     assert kkt_residual(kernel, y, alpha, model.bias, 1.0) < 1e-4
+
+
+def near_duplicate_problem(seed):
+    """Ten centres, each repeated with 1e-3 jitter and noisy labels: a
+    badly conditioned dual on which maximal-violating-pair SMO needs
+    about 10k iterations and sometimes hits its cap."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(60, 81))
+    centres = rng.normal(size=(10, 10))
+    rows = rng.integers(0, 10, size=n)
+    x = centres[rows] + 1e-3 * rng.normal(size=(n, 10))
+    y = np.where(centres[rows, 0] + 0.5 * rng.normal(size=n) > 0, 1.0, -1.0)
+    y[:2] = 1.0, -1.0
+    return DetectorTrainingProblem(gram=[x @ x.T], labels=y, C=1.0, gamma=0.01)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_solver_converges_on_near_duplicate_rows(seed):
+    problem = near_duplicate_problem(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        model = train_mklsvm(problem)
+        tight = train_mklsvm(problem, tol=1e-8)
+    alpha = np.zeros(problem.n)
+    for a, key in zip(model.alpha, model.support_ids):
+        alpha[int(key[1:])] = a
+    kernel = problem.gram[0] + 0.01 * np.eye(problem.n)
+    assert kkt_residual(kernel, problem.labels, alpha, model.bias, 1.0) <= 1e-4
+    assert model.objective == pytest.approx(tight.objective, abs=1e-6)
+
+
+def test_iteration_cap_warning_names_the_concept():
+    # a negative tolerance is never met, so the solve runs to its cap
+    with pytest.warns(RuntimeWarning, match=r"^SMO iteration cap.*con-cap"):
+        train_mklsvm(toy_problem(gamma=0.01), tol=-1.0, concept_id="con-cap")
 
 
 def test_problem_validation():

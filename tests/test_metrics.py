@@ -66,6 +66,20 @@ def test_array_form_matches_mapping_form():
 
 
 @given(
+    st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(0, 1)), min_size=1, max_size=60
+    ).filter(lambda rows: any(lab for _, lab in rows))
+)
+def test_array_form_ties_by_position_match_oracle_exactly(rows):
+    scores = [float(s) for s, _ in rows]
+    labels = [lab for _, lab in rows]
+    # the oracle's ranking: score descending, equal scores in input order
+    order = sorted(range(len(rows)), key=lambda k: -scores[k])
+    want = ap_precision_at_k(order, dict(enumerate(labels)))
+    assert ap_from_arrays(np.array(scores), np.array(labels) > 0) == want
+
+
+@given(
     st.lists(st.integers(0, 1), min_size=1, max_size=40).filter(lambda ls: any(ls))
 )
 def test_matches_precision_at_k_oracle(labels):

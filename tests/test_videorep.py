@@ -89,6 +89,23 @@ def test_represent_pools_calibrated_scores_over_frames():
     assert np.allclose(rep.scores, hand, atol=1e-12)
 
 
+def test_represent_repeated_layout_slots_match_per_slot_scoring():
+    det = {
+        "con-a": trained_detector(np.array([1.0, 0.0]), "con-a"),
+        "con-b": trained_detector(np.array([0.6, 0.8]), "con-b"),
+    }
+    table = {"f0": [2.0, 0.0], "f1": [0.3, 1.7], "f2": [-1.0, 0.5]}
+    entry = VideoManifestEntry("vid-r", list(table))
+    layout = ["con-b", "con-a", "con-b", "con-b", "con-a"]
+    rep = represent(entry, layout, det, frame_encoder(table), m=3)
+    frames = {"f": np.array(list(table.values()))}
+    per_slot = np.array([
+        det[c].calibrated(det[c].raw_score_matrix(frames)).mean() for c in layout
+    ])
+    assert rep.concept_ids == layout
+    assert np.array_equal(rep.scores, per_slot)
+
+
 def test_represent_skips_bad_frames_but_needs_one():
     det = {"con-a": trained_detector(np.array([1.0, 0.0]), "con-a")}
     table = {"good": [1.0, 0.0]}
