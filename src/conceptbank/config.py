@@ -46,9 +46,7 @@ class PipelineConfig:
     codebook_k: int = 1000
     soft_k: int = 5
     channels: list[str] = field(default_factory=lambda: ["gray-patch", "color-hist"])
-    concept_kernel: str = "linear"  # base kernel per channel: linear | chi2
     selection_mode: str = "kde"  # kde | random (ablation switch)
-    negative_scope: str = "global"  # global | event
     calibration_holdout: float = 0.2
     max_codebook_descriptors: int = 100000
     base_seed: int = 0
@@ -66,12 +64,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.s < 1 or self.t < 0:
             raise PreconditionError("s must be >= 1 and t >= 0")
-        if self.concept_kernel not in ("linear", "chi2"):
-            raise PreconditionError(f"unknown concept_kernel {self.concept_kernel}")
         if self.selection_mode not in ("kde", "random"):
             raise PreconditionError(f"unknown selection_mode {self.selection_mode}")
-        if self.negative_scope not in ("global", "event"):
-            raise PreconditionError(f"unknown negative_scope {self.negative_scope}")
         if not 0.0 < self.calibration_holdout < 1.0:
             raise PreconditionError("calibration_holdout must be in (0, 1)")
         if not self.channels:

@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encode import FeatureSet, _sq_dists
-from .errors import DataFormatError, PreconditionError
+from .errors import PreconditionError
 from .metrics import ap_from_arrays
 
 _TAU = 1e-12
@@ -177,17 +176,9 @@ class DetectorModel:
             mixed += w * k
         return mixed @ (self.alpha * self.support_labels) + self.bias
 
-    def raw_score(self, fs: FeatureSet) -> float:
-        feats = {c: np.asarray(fs.vectors[c])[None, :] for c in self.channels
-                 if c in fs.vectors}
-        return float(self.raw_score_matrix(feats)[0])
-
     def calibrated(self, raw: np.ndarray | float) -> np.ndarray | float:
         a, b = self.platt
         return 1.0 / (1.0 + np.exp(a * np.asarray(raw, dtype=np.float64) + b))
-
-    def score(self, fs: FeatureSet) -> float:
-        return float(self.calibrated(self.raw_score(fs)))
 
 
 @dataclass
@@ -444,7 +435,6 @@ def verify_visualness(
     positives: dict[str, np.ndarray],
     negative_pool: dict[str, np.ndarray],
     seed: int,
-    kernels: dict[str, KernelSpec] | None = None,
     C: float = 1.0,
     gamma: float = 0.01,
     ap_threshold: float = 0.8,
@@ -455,10 +445,10 @@ def verify_visualness(
 
     positives / negative_pool map channel -> (n, d) feature matrices; a
     balanced problem is built by sampling as many negatives as there are
-    positives (seeded, without replacement). Each fold trains a detector
-    on the other fold and is scored by AP; the concept passes when the
-    mean AP clears ap_threshold and the positive count clears
-    min_training_images.
+    positives (seeded, without replacement). Each fold trains a
+    linear-kernel detector on the other fold and is scored by AP; the
+    concept passes when the mean AP clears ap_threshold and the positive
+    count clears min_training_images.
     """
     channels = list(positives)
     if not channels:
@@ -471,8 +461,7 @@ def verify_visualness(
         raise PreconditionError(
             f"{concept_id}: {n_neg_avail} negatives available, {n_pos} needed"
         )
-    if kernels is None:
-        kernels = {c: KernelSpec("linear") for c in channels}
+    kernels = {c: KernelSpec("linear") for c in channels}
 
     rng = np.random.default_rng(seed)
     neg_rows = np.sort(rng.choice(n_neg_avail, size=n_pos, replace=False))
@@ -512,11 +501,3 @@ def verify_visualness(
         training_image_count=n_pos,
         passed=passed,
     )
-
-
-def load_feature_matrix(path, dim: int) -> np.ndarray:
-    """Read a little-endian f32 matrix written next to a detector header."""
-    raw = np.fromfile(path, dtype="<f4")
-    if dim <= 0 or raw.size % dim:
-        raise DataFormatError(f"{path}: size {raw.size} not a multiple of {dim}")
-    return raw.astype(np.float64).reshape(-1, dim)

@@ -97,9 +97,7 @@ def fixture_config(seed: int = 0) -> PipelineConfig:
         codebook_k=16,
         soft_k=5,
         channels=[name for name, _ in CHANNELS],
-        concept_kernel="linear",
         selection_mode="kde",
-        negative_scope="global",
         calibration_holdout=0.2,
         max_codebook_descriptors=5000,
         base_seed=seed,

@@ -79,16 +79,19 @@ def read_cbfh(path: str | Path) -> dict[str, np.ndarray]:
     (channel_count,) = struct.unpack_from("<I", data, 4)
     offset = 8
     channels: dict[str, np.ndarray] = {}
-    for _ in range(channel_count):
-        (name_len,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        name = data[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (dim,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
-        offset += dim * 4
-        channels[name] = vec.astype(np.float64)
+    try:
+        for _ in range(channel_count):
+            (name_len,) = struct.unpack_from("<I", data, offset)
+            offset += 4
+            name = data[offset : offset + name_len].decode("utf-8")
+            offset += name_len
+            (dim,) = struct.unpack_from("<I", data, offset)
+            offset += 4
+            vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
+            offset += dim * 4
+            channels[name] = vec.astype(np.float64)
+    except (struct.error, ValueError):  # ValueError covers bad utf-8
+        raise DataFormatError(f"truncated or corrupt CBFH file: {path}") from None
     if offset != len(data):
         raise DataFormatError(f"trailing bytes in CBFH file: {path}")
     return channels
@@ -115,17 +118,22 @@ def write_cbcb(
 def read_cbcb(path: str | Path) -> tuple[str, np.ndarray, int, float]:
     """Returns (channel name, centers (k,dim) float64, train_seed, soft_sigma)."""
     data = _read_bytes(path)
-    if data[:4] != b"CBCB":
+    if data[:4] != b"CBCB" or len(data) < 12:
         raise DataFormatError(f"not a CBCB file: {path}")
     version, name_len = struct.unpack_from("<II", data, 4)
     if version != CBCB_VERSION:
         raise DataFormatError(f"unsupported CBCB version {version}: {path}")
-    offset = 12
-    name = data[offset : offset + name_len].decode("utf-8")
-    offset += name_len
+    offset = 12 + name_len
+    if len(data) < offset + 24:
+        raise DataFormatError(f"truncated CBCB file: {path}")
     k, dim, seed, sigma = struct.unpack_from("<IIQd", data, offset)
-    offset += struct.calcsize("<IIQd")
-    centers = np.frombuffer(data, dtype="<f4", count=k * dim, offset=offset)
+    if len(data) != offset + 24 + 4 * k * dim:
+        raise DataFormatError(f"CBCB file is not {k}x{dim} centers: {path}")
+    try:
+        name = data[12:offset].decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataFormatError(f"bad channel name in CBCB file: {path}") from None
+    centers = np.frombuffer(data, dtype="<f4", offset=offset + 24)
     return name, centers.reshape(k, dim).astype(np.float64), seed, sigma
 
 
@@ -140,10 +148,16 @@ def write_cbvr(path: str | Path, header: dict, scores: np.ndarray) -> None:
 
 def read_cbvr(path: str | Path) -> tuple[dict, np.ndarray]:
     data = _read_bytes(path)
-    if data[:4] != b"CBVR":
+    if data[:4] != b"CBVR" or len(data) < 8:
         raise DataFormatError(f"not a CBVR file: {path}")
     (header_len,) = struct.unpack_from("<I", data, 4)
-    header = json.loads(data[8 : 8 + header_len].decode("utf-8"))
+    try:
+        header = json.loads(data[8 : 8 + header_len].decode("utf-8"))
+        n = len(header["concept_ids"])
+    except (ValueError, KeyError, TypeError):  # ValueError covers bad JSON
+        raise DataFormatError(f"bad CBVR header: {path}") from None
+    if len(data) != 8 + header_len + 4 * n:
+        raise DataFormatError(f"CBVR file is not {n} scores: {path}")
     scores = np.frombuffer(data, dtype="<f4", offset=8 + header_len)
     return header, scores.astype(np.float64)
 

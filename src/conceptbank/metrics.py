@@ -1,4 +1,4 @@
-"""Average Precision / mean Average Precision for ranked retrieval lists.
+"""Average Precision for ranked retrieval lists.
 
 AP here is the non-interpolated mean of precision@k taken at the ranks of
 the relevant items (TRECVID convention). It is used in three places:
@@ -51,21 +51,6 @@ def _ap_in_rank_order(relevant: np.ndarray) -> float:
     # added one rank at a time, so the value does not depend on numpy's
     # pairwise summation and matches the precision@k definition exactly
     return sum((hits / ranks).tolist()) / hits.size
-
-
-def mean_average_precision(rankings: Sequence[LabeledRanking]) -> float:
-    """Unweighted mean of per-event APs."""
-    if not rankings:
-        raise PreconditionError("mean average precision over zero rankings")
-    return sum(average_precision(r) for r in rankings) / len(rankings)
-
-
-def ap_from_scores(
-    scores: Mapping[str, float], relevance: Mapping[str, int]
-) -> float:
-    """Convenience: rank ids by score (desc, ties by id) and compute AP."""
-    ordering = tuple(sorted(scores, key=lambda i: (-scores[i], i)))
-    return average_precision(LabeledRanking(ordering, relevance))
 
 
 def ap_from_arrays(scores: Sequence[float], labels: Sequence[int]) -> float:

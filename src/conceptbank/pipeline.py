@@ -13,7 +13,6 @@ store's bytes do not depend on the worker count.
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import corpus, detect, encode, select, semmatch, videorep
 from .config import PipelineConfig
-from .errors import ConceptBankError, DataFormatError, PreconditionError
+from .errors import ConceptBankError, PreconditionError
 from .formats import read_cbcb, read_cbfh, read_cbvr, write_cbcb, write_cbfh, write_cbvr
 from .metrics import LabeledRanking, average_precision
 from .ontology import ConceptBankTree, load_hierarchy
@@ -158,6 +157,10 @@ def _feature_set(store: ModelStore, image_id: str) -> encode.FeatureSet:
     if not path.exists():
         raise PreconditionError(f"image {image_id} not encoded yet")
     return encode.FeatureSet(vectors=read_cbfh(path))
+
+
+def _plan(store: ModelStore, event_id: str) -> semmatch.QueryPlan:
+    return semmatch.plan_from_dict(store.read_json(f"plans/{event_id}.json"))
 
 
 def _candidates(store: ModelStore) -> list[dict]:
@@ -371,13 +374,9 @@ def _stage_verify(config: PipelineConfig, store: ModelStore, workers: int) -> di
         idx, cand = item
         cid, name = cand["concept_id"], cand["name"]
         pos_ids = cand["image_ids"]
-        if config.negative_scope == "event":
-            universe = [r for r in records if r.event_id == cand["event_id"]]
-        else:
-            universe = records
         neg_ids = [
             r.image_id
-            for r in universe
+            for r in records
             if name not in r.canonical_tags() and r.image_id not in set(pos_ids)
         ]
         if len(pos_ids) < 2 or len(neg_ids) < len(pos_ids):
@@ -387,15 +386,11 @@ def _stage_verify(config: PipelineConfig, store: ModelStore, workers: int) -> di
                 training_image_count=len(pos_ids),
                 passed=False,
             )
-        pos = matrices(pos_ids)
-        neg = matrices(neg_ids)
-        kernels = _kernel_specs(config, pos)
         return detect.verify_visualness(
             cid,
-            pos,
-            neg,
+            matrices(pos_ids),
+            matrices(neg_ids),
             seed=seed0 + idx,
-            kernels=kernels,
             C=config.C,
             gamma=config.gamma,
             ap_threshold=config.cv_ap_threshold,
@@ -414,17 +409,6 @@ def _stage_verify(config: PipelineConfig, store: ModelStore, workers: int) -> di
         "verified": len(passed),
         "rejected": len(reports) - len(passed),
         "passed_ids": passed,
-    }
-
-
-def _kernel_specs(
-    config: PipelineConfig, features: dict[str, np.ndarray]
-) -> dict[str, detect.KernelSpec]:
-    if config.concept_kernel == "linear":
-        return {ch: detect.KernelSpec("linear") for ch in features}
-    return {
-        ch: detect.KernelSpec("chi2", bandwidth=detect.mean_chi2_bandwidth(m))
-        for ch, m in features.items()
     }
 
 
@@ -454,7 +438,7 @@ def _stage_train(config: PipelineConfig, store: ModelStore, workers: int) -> dic
             ch: np.stack([_feature_set(store, i).vectors[ch] for i in train_ids])
             for ch in config.channels
         }
-        kernels = _kernel_specs(config, feats)
+        kernels = {ch: detect.KernelSpec("linear") for ch in config.channels}
         gram = [
             detect.compute_kernel(feats[ch], feats[ch], kernels[ch])
             for ch in config.channels
@@ -519,8 +503,7 @@ def _layout(store: ModelStore, tree: ConceptBankTree) -> list[str]:
     """Concatenated per-event plan concept ids, event-id order."""
     layout = []
     for event in _sorted_events(tree):
-        doc = store.read_json(f"plans/{event.id}.json")
-        layout.extend(e["concept_id"] for e in doc["selections"])
+        layout.extend(_plan(store, event.id).concept_ids)
     if not layout:
         raise PreconditionError("no plans in store")
     return layout
@@ -567,20 +550,17 @@ def _stage_represent(config: PipelineConfig, store: ModelStore, workers: int) ->
 
 def _stage_retrieve(config: PipelineConfig, store: ModelStore, workers: int) -> dict:
     tree = _tree(store)
-    provider = _provider(config, _lexicon(config))
     reps = _load_reps(store, "test")
     report = {}
     for event in _sorted_events(tree):
-        plan, fusion = zero_shot_retrieve(
-            event.name, tree, provider, reps, n_concepts=config.n_concepts
-        )
-        used = [cid for cid, s in plan.selections if s > 0.0]
+        plan = _plan(store, event.id)
+        fusion = zero_shot_retrieve(plan, reps)
         store.write_json(
             f"reports/retrieval/{event.id}.json",
             {
                 "event_id": event.id,
-                "query": event.name,
-                "concepts_used": used,
+                "query": plan.query,
+                "concepts_used": fusion.concept_ids,
                 "ordering": fusion.ordering,
                 "fusion_scores": fusion.scores,
                 "ranks": fusion.ranks,

@@ -4,8 +4,9 @@ Zero-shot: the query's top concepts each rank the test videos by their
 representation scores; the per-concept rank lists are fused by the
 normalized rank average R(i) = (1/d) * sum_j (1 - r_j/n). Only ranks
 enter the fusion, so any monotone rescaling of concept scores leaves the
-result unchanged. The zero-shot path takes nothing but unlabeled test
-representations, so it cannot touch training labels by construction.
+result unchanged. The zero-shot path takes nothing but the query's
+concept plan and unlabeled test representations, so it cannot touch
+training labels by construction.
 
 Supervised: a one-vs-all SVM with chi-square kernel over concatenated
 plan representations, hyperparameters picked by seeded 2-fold
@@ -31,8 +32,7 @@ from .detect import (
 )
 from .errors import PreconditionError
 from .metrics import ap_from_arrays
-from .ontology import ConceptBankTree
-from .semmatch import QueryPlan, SimilarityProvider, select_concepts
+from .semmatch import QueryPlan
 from .videorep import VideoRepresentation
 
 CV_C_GRID = (0.1, 1.0, 10.0, 100.0)
@@ -51,9 +51,6 @@ class RankList:
                 f"rank list {self.concept_id} has duplicate video ids"
             )
 
-    def rank_of(self, video_id: str) -> int:
-        return self.ordering.index(video_id) + 1
-
 
 @dataclass
 class FusionResult:
@@ -62,6 +59,7 @@ class FusionResult:
     d: int
     n: int
     ranks: dict[str, list[int]] = field(default_factory=dict)  # audit
+    concept_ids: list[str] = field(default_factory=list)  # fused lists, in order
 
 
 def rank_list_from_scores(
@@ -98,28 +96,28 @@ def fuse(lists: Sequence[RankList]) -> FusionResult:
             ranks[v].append(pos)
     scores = {v: acc[v] / d for v in videos}
     ordering = sorted(videos, key=lambda v: (-scores[v], v))
-    return FusionResult(ordering=ordering, scores=scores, d=d, n=n, ranks=ranks)
+    return FusionResult(
+        ordering=ordering, scores=scores, d=d, n=n, ranks=ranks,
+        concept_ids=[rl.concept_id for rl in lists],
+    )
 
 
 def zero_shot_retrieve(
-    query: str,
-    tree: ConceptBankTree,
-    provider: SimilarityProvider,
-    reps: Sequence[VideoRepresentation],
-    n_concepts: int = 100,
-) -> tuple[QueryPlan, FusionResult]:
-    """Rank unlabeled test videos for a textual event query.
+    plan: QueryPlan, reps: Sequence[VideoRepresentation]
+) -> FusionResult:
+    """Rank unlabeled test videos for an event query's concept plan.
 
-    Builds the query's concept plan, drops zero-similarity selections,
-    forms one rank list per surviving concept from the representation
-    scores, and fuses. Raises when no concept matches the query at all.
+    Drops zero-similarity selections, forms one rank list per surviving
+    concept from the representation scores, and fuses. Raises when no
+    concept of the plan matches the query at all.
     """
     if not reps:
         raise PreconditionError("no test representations")
-    plan = select_concepts(query, tree, provider, n=n_concepts)
     selected = [(cid, s) for cid, s in plan.selections if s > 0.0]
     if not selected:
-        raise PreconditionError(f"query unmatched: no concept relates to {query!r}")
+        raise PreconditionError(
+            f"query unmatched: no concept relates to {plan.query!r}"
+        )
 
     layout = reps[0].concept_ids
     index = {cid: k for k, cid in enumerate(layout)}
@@ -136,7 +134,7 @@ def zero_shot_retrieve(
                 )
             per_video[rep.video_id] = float(rep.scores[col])
         lists.append(rank_list_from_scores(cid, per_video))
-    return plan, fuse(lists)
+    return fuse(lists)
 
 
 @dataclass

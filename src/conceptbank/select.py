@@ -138,13 +138,6 @@ def kde_confidences(pool: ConceptImagePool) -> np.ndarray:
     return acc / (m * n)
 
 
-def kde_confidence(pool: ConceptImagePool, i: int) -> float:
-    """Confidence of the i-th pool member."""
-    if not 0 <= i < pool.size:
-        raise PreconditionError(f"member index {i} out of range")
-    return float(kde_confidences(pool)[i])
-
-
 def select_training_set(
     pool: ConceptImagePool,
     other_pools: list[ConceptImagePool],

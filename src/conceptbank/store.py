@@ -88,9 +88,6 @@ class ModelStore:
         manifest["stages"][stage] = {"config_hash": config_hash}
         self._write_manifest(manifest)
 
-    def stage_record(self, stage: str) -> dict | None:
-        return self.read_manifest()["stages"].get(stage)
-
     def require_upstream(
         self, stages, config_hash: str, force: bool = False
     ) -> None:
@@ -167,6 +164,8 @@ class ModelStore:
         feats: dict[str, np.ndarray] = {}
         for c in header["channels"]:
             d = int(header["dims"][c])
+            if cursor + n * d > raw.size:
+                raise DataFormatError(f"detector blob for {concept_id} is truncated")
             feats[c] = raw[cursor : cursor + n * d].reshape(n, d)
             cursor += n * d
         if cursor != raw.size:
@@ -200,16 +199,3 @@ class ModelStore:
             "model": det.model.concept_id,
         }
         self.write_json(f"event_detectors/{det.event_id}.meta.json", header)
-
-    def load_event_detector(self, event_id: str) -> EventDetector:
-        header = self.read_json(f"event_detectors/{event_id}.meta.json")
-        model = self.load_detector(header["model"], kind="event_detectors")
-        return EventDetector(
-            event_id=header["event_id"],
-            concept_ids=list(header["concept_ids"]),
-            model=model,
-            C=float(header["C"]),
-            bandwidth=float(header["bandwidth"]),
-            bandwidth_scale=float(header["bandwidth_scale"]),
-            cv_ap=float(header["cv_ap"]),
-        )

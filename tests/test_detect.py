@@ -18,7 +18,6 @@ from conceptbank.detect import (
     train_mklsvm,
     verify_visualness,
 )
-from conceptbank.encode import FeatureSet
 from conceptbank.errors import PreconditionError
 
 from oracles import kkt_residual, qp_minimum
@@ -195,9 +194,9 @@ def test_model_scales_new_points():
     )
     model = train_mklsvm(problem, tol=1e-8, concept_id="con-x")
     assert model.concept_id == "con-x"
-    assert model.raw_score(FeatureSet({"f": np.array([2.0, 0.0])})) > 0
-    assert model.raw_score(FeatureSet({"f": np.array([-2.0, 0.0])})) < 0
-    assert 0.0 < model.score(FeatureSet({"f": np.array([2.0, 0.0])})) < 1.0
+    raw = model.raw_score_matrix({"f": np.array([[2.0, 0.0], [-2.0, 0.0]])})
+    assert raw[0] > 0 and raw[1] < 0
+    assert 0.0 < model.calibrated(raw[0]) < 1.0
     with pytest.raises(PreconditionError, match="missing channels"):
         model.raw_score_matrix({"g": x})
 

@@ -116,6 +116,35 @@ def test_video_representation_round_trip(tmp_path):
         read_cbvr(path)
 
 
+WRITERS = {
+    "cbfv": (
+        lambda p: write_cbfv(p, np.zeros((2, 2)), np.ones((2, 3))), read_cbfv
+    ),
+    "cbfh": (
+        lambda p: write_cbfh(p, {"syn-a": np.ones(3), "syn-b": np.zeros(2)}),
+        read_cbfh,
+    ),
+    "cbcb": (lambda p: write_cbcb(p, "syn-a", np.ones((2, 3)), 7, 0.5), read_cbcb),
+    "cbvr": (
+        lambda p: write_cbvr(p, {"concept_ids": ["c1", "c2"]}, np.ones(2)),
+        read_cbvr,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_truncated_or_padded_binary_files_are_rejected(tmp_path, kind):
+    write, read = WRITERS[kind]
+    path = tmp_path / f"file.{kind}"
+    write(path)
+    whole = path.read_bytes()
+    read(path)
+    for blob in [whole[:cut] for cut in range(len(whole))] + [whole + bytes(4)]:
+        path.write_bytes(blob)
+        with pytest.raises(DataFormatError, match=f"file.{kind}"):
+            read(path)
+
+
 def test_ppm_round_trip_color_and_gray(tmp_path):
     rgb = np.arange(24, dtype=np.uint8).reshape(2, 4, 3)
     path = tmp_path / "img.ppm"

@@ -8,9 +8,7 @@ from conceptbank.errors import PreconditionError
 from conceptbank.metrics import (
     LabeledRanking,
     ap_from_arrays,
-    ap_from_scores,
     average_precision,
-    mean_average_precision,
 )
 
 from oracles import ap_precision_at_k
@@ -40,28 +38,15 @@ def test_ranking_requires_complete_labels_and_a_positive():
         average_precision(ranking([0, 0]))
 
 
-def test_map_is_the_mean():
-    rs = [ranking([1, 0]), ranking([0, 1])]
-    assert mean_average_precision(rs) == pytest.approx((1.0 + 0.5) / 2)
-    with pytest.raises(PreconditionError):
-        mean_average_precision([])
-
-
-def test_scores_rank_descending_with_id_ties():
-    scores = {"a": 0.2, "b": 0.9, "c": 0.2}
-    # b first, then the 0.2 tie resolves alphabetically: a before c
-    assert ap_from_scores(scores, {"a": 0, "b": 1, "c": 1}) == pytest.approx(
-        0.5 * (1.0 + 2 / 3)
-    )
-
-
 def test_array_form_matches_mapping_form():
     rng = np.random.default_rng(7)
     scores = rng.normal(size=30)
     labels = rng.integers(0, 2, size=30)
     labels[0] = 1
     ids = [f"i{k:06d}" for k in range(30)]
-    want = ap_from_scores(dict(zip(ids, scores)), dict(zip(ids, labels)))
+    by_id = dict(zip(ids, scores))
+    ordering = tuple(sorted(ids, key=lambda i: (-by_id[i], i)))
+    want = average_precision(LabeledRanking(ordering, dict(zip(ids, labels))))
     assert ap_from_arrays(scores, labels) == pytest.approx(want, abs=0)
 
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conceptbank.errors import PreconditionError
+from conceptbank.pipeline import run_stage
 from conceptbank.retrieve import (
-    FusionResult,
     RankList,
     detect_events,
     fuse,
@@ -14,7 +16,8 @@ from conceptbank.retrieve import (
     train_event_detector,
     zero_shot_retrieve,
 )
-from conceptbank.semmatch import SimilarityProvider
+from conceptbank.semmatch import SimilarityProvider, select_concepts
+from conceptbank.store import ModelStore
 from conceptbank.videorep import VideoRepresentation
 
 from conftest import small_tree
@@ -119,9 +122,11 @@ def test_zero_shot_uses_only_matching_concepts():
         rep("v1", layout, [0.5, 0.9]),
         rep("v2", layout, [0.1, 0.9]),
     ]
-    plan, result = zero_shot_retrieve("wash", tree, provider, reps)
+    plan = select_concepts("wash", tree, provider)
+    result = zero_shot_retrieve(plan, reps)
     # towel has similarity 0, so only the brush column drives the ranking
     assert result.d == 1
+    assert result.concept_ids == [leaves["brush"]]
     assert result.ordering == ["v0", "v1", "v2"]
     assert plan.concept_ids[0] == leaves["brush"]
 
@@ -130,19 +135,21 @@ def test_zero_shot_rejects_unmatched_queries_and_bad_layouts():
     tree, leaves, provider = retrieval_setup()
     layout = [leaves["brush"], leaves["towel"]]
     reps = [rep("v0", layout, [0.9, 0.0])]
-    with pytest.raises(PreconditionError, match="query unmatched"):
-        zero_shot_retrieve("xylophone", tree, provider, reps)
+    unmatched = select_concepts("xylophone", tree, provider)
+    with pytest.raises(PreconditionError, match="query unmatched.*xylophone"):
+        zero_shot_retrieve(unmatched, reps)
+    plan = select_concepts("wash", tree, provider)
     with pytest.raises(PreconditionError, match="no test representations"):
-        zero_shot_retrieve("wash", tree, provider, [])
+        zero_shot_retrieve(plan, [])
     missing = [rep("v0", [leaves["towel"]], [0.4])]
     with pytest.raises(PreconditionError, match="lack concept"):
-        zero_shot_retrieve("wash", tree, provider, missing)
+        zero_shot_retrieve(plan, missing)
     ragged = [
         rep("v0", layout, [0.9, 0.0]),
         rep("v1", [leaves["towel"], leaves["brush"]], [0.9, 0.0]),
     ]
     with pytest.raises(PreconditionError, match="layout mismatch"):
-        zero_shot_retrieve("wash", tree, provider, ragged)
+        zero_shot_retrieve(plan, ragged)
 
 
 @settings(deadline=None, max_examples=25)
@@ -156,10 +163,26 @@ def test_zero_shot_invariant_to_monotone_score_rescaling(seed):
     warped = [
         rep(f"v{i}", layout, np.exp(3.0 * s) - 0.5) for i, s in enumerate(scores)
     ]
-    _, a = zero_shot_retrieve("wash", tree, provider, reps)
-    _, b = zero_shot_retrieve("wash", tree, provider, warped)
+    plan = select_concepts("wash", tree, provider)
+    a = zero_shot_retrieve(plan, reps)
+    b = zero_shot_retrieve(plan, warped)
     assert a.ordering == b.ordering
     assert a.scores == b.scores
+
+
+def test_retrieve_stage_ranks_with_the_stored_plan(full_store, corpus_config, tmp_path):
+    store = ModelStore(tmp_path / "store")
+    shutil.copytree(full_store.root, store.root)
+    event_id = sorted(store.path("plans").glob("*.json"))[0].stem
+    plan = store.read_json(f"plans/{event_id}.json")
+    first = plan["selections"][0]
+    assert first["score"] > 0.0
+    plan["selections"] = [first]
+    store.write_json(f"plans/{event_id}.json", plan)
+    run_stage("retrieve", corpus_config, store.root)
+    report = store.read_json(f"reports/retrieval/{event_id}.json")
+    assert report["concepts_used"] == [first["concept_id"]]
+    assert report["d"] == 1
 
 
 def event_reps(seed=0, n_per=12):

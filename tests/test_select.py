@@ -8,7 +8,6 @@ from conceptbank.select import (
     ConceptImagePool,
     SelectionResult,
     compute_sigma,
-    kde_confidence,
     kde_confidences,
     sample_negatives,
     select_training_set,
@@ -71,9 +70,7 @@ def test_confidence_bounds_and_identical_members():
     with pytest.warns(DegenerateSigmaWarning):
         assert kde_confidences(pool_1d([7, 7, 7])) == pytest.approx([1.0] * 3)
     with pytest.warns(DegenerateSigmaWarning):
-        assert kde_confidence(pool_1d([3]), 0) == 1.0
-    with pytest.raises(PreconditionError):
-        kde_confidence(pool_1d([0, 1]), 2)
+        assert kde_confidences(pool_1d([3])).tolist() == [1.0]
 
 
 def test_duplicating_a_member_raises_its_confidence_rank():

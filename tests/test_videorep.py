@@ -82,8 +82,10 @@ def test_represent_pools_calibrated_scores_over_frames():
     assert rep.frames_used == 2
     assert np.all(rep.scores > 0) and np.all(rep.scores < 1)
     hand = [
-        np.mean([det[c].score(FeatureSet({"f": np.asarray(v, float)}))
-                 for v in table.values()])
+        np.mean([
+            det[c].calibrated(det[c].raw_score_matrix({"f": np.array([v], float)}))
+            for v in table.values()
+        ])
         for c in ("con-a", "con-b")
     ]
     assert np.allclose(rep.scores, hand, atol=1e-12)
