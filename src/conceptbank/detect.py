@@ -225,19 +225,21 @@ def _smo(
     alpha0: np.ndarray | None = None,
     *,
     concept_id: str = "",
+    max_iter: int | None = None,
 ) -> tuple[np.ndarray, float, float]:
     """Minimize 1/2 a'Qa - 1'a subject to a'y = 0, 0 <= a <= C by
     pairwise updates on a second-order working set: i is the maximal
     violator, j the partner with the largest guaranteed decrease.
-    Stops when the maximal violation drops below tol. Returns
-    (alpha, bias, objective)."""
+    Stops when the maximal violation drops below tol > 0, or warns after
+    max_iter updates (default max(20000, 50 n)). Returns (alpha, bias, objective)."""
+    if not tol > 0:
+        raise PreconditionError(f"SMO tolerance must be > 0, got {tol}")
     n = y.size
     alpha = np.zeros(n) if alpha0 is None else alpha0.copy()
     grad = q @ alpha - 1.0 if alpha0 is not None else -np.ones(n)
     pos = y > 0
     diag = np.diag(q).copy()
-    max_iter = max(20_000, 50 * n)
-    for _ in range(max_iter):
+    for _ in range(max(20_000, 50 * n) if max_iter is None else max_iter):
         vals = -y * grad
         up = (pos & (alpha < c - _TAU)) | (~pos & (alpha > _TAU))
         low = (~pos & (alpha < c - _TAU)) | (pos & (alpha > _TAU))

@@ -27,6 +27,8 @@ PATCH_STRIDE = 10  # 50% overlap
 PYRAMID_GRIDS = ((1, 1), (2, 2), (3, 1))  # (rows, cols) per level
 PYRAMID_BLOCKS = sum(r * c for r, c in PYRAMID_GRIDS)  # 8
 BUILTIN_CHANNELS = ("gray-patch", "color-hist")
+# Rows per soft_assign call: 4096 x 1000 float64 distances are 32 MB.
+ASSIGN_ROWS = 4096
 
 
 @dataclass
@@ -148,9 +150,9 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared euclidean distances, (len(a), len(b))."""
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
+    """Pairwise squared euclidean distances, (..., len(a), len(b))."""
+    aa = np.sum(a * a, axis=-1)[..., None]
+    bb = np.sum(b * b, axis=1)
     return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
 
 
@@ -159,23 +161,23 @@ def soft_assign(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distribute each patch's unit mass over its soft_k nearest codewords.
 
-    Returns (indices (n, k'), weights (n, k')) with weights rows summing
-    to 1. Weights are Gaussian in distance with the codebook's soft_sigma;
-    a non-positive sigma degrades to hard assignment.
+    vectors is (n, dim) or a stack (images, n, dim). Returns (indices
+    (..., k'), weights (..., k')) with weight rows summing to 1. Weights
+    are Gaussian in distance with the codebook's soft_sigma; a
+    non-positive sigma degrades to hard assignment.
     """
     k_eff = min(soft_k, codebook.k)
     d2 = _sq_dists(vectors, codebook.centers)
-    idx = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
-    rows = np.arange(vectors.shape[0])[:, None]
-    near = d2[rows, idx]
+    idx = np.argsort(d2, axis=-1, kind="stable")[..., :k_eff]
+    near = np.take_along_axis(d2, idx, axis=-1)
     sigma = codebook.soft_sigma
     if sigma > 0:
         # shift by the per-row minimum: same normalized weights, no underflow
-        w = np.exp(-(near - near[:, :1]) / (2.0 * sigma * sigma))
+        w = np.exp(-(near - near[..., :1]) / (2.0 * sigma * sigma))
     else:
         w = np.zeros_like(near)
-        w[:, 0] = 1.0
-    w /= w.sum(axis=1, keepdims=True)
+        w[..., 0] = 1.0
+    w /= w.sum(axis=-1, keepdims=True)
     return idx, w
 
 
@@ -185,44 +187,60 @@ def encode_image(
     image_size: tuple[float, float],
     soft_k: int = 5,
 ) -> FeatureSet:
-    """Encode one image's descriptor blocks into pyramid histograms.
+    """Encode one image's descriptor blocks; see encode_images."""
+    return encode_images([blocks], codebooks, [image_size], soft_k)[0]
 
-    image_size is (width, height); a patch contributes to the one block
-    per pyramid level whose extent contains its center. Patch order does
-    not matter: patches are canonically sorted before accumulation.
-    """
-    width, height = float(image_size[0]), float(image_size[1])
-    out: dict[str, np.ndarray] = {}
-    for channel, block in blocks.items():
+
+def encode_images(
+    blocks_list: list[dict[str, DescriptorBlock]],
+    codebooks: dict[str, Codebook],
+    sizes: list[tuple[float, float]],
+    soft_k: int = 5,
+) -> list[FeatureSet]:
+    """Encode images that share their channels into pyramid histograms,
+    each bit for bit as if alone. sizes[i] is image i's (width, height);
+    a patch adds to the one block per level that contains its center.
+    Patches are sorted per image, so their order does not matter. BLAS
+    rounds a product row differently next to other rows, so distances
+    are taken per stack of images with equal patch counts."""
+    channels = list(blocks_list[0]) if blocks_list else []
+    # a non-positive extent puts every patch in the first cell
+    extents = np.asarray(sizes, dtype=np.float64).reshape(-1, 2)
+    extents = np.where(extents > 0, extents, np.inf)
+    out = [FeatureSet(vectors={}) for _ in blocks_list]
+    for channel in channels:
         codebook = codebooks.get(channel)
         if codebook is None:
             raise PreconditionError(f"channel without codebook: {channel}")
-        n = block.vectors.shape[0]
-        if n == 0:
+        counts = np.array([b[channel].vectors.shape[0] for b in blocks_list])
+        if not counts.all():
             raise PreconditionError(f"channel {channel}: zero patches")
-        order = np.lexsort((block.grid_positions[:, 0], block.grid_positions[:, 1]))
-        positions = block.grid_positions[order]
-        idx, w = soft_assign(block.vectors[order], codebook, soft_k)
+        for n in np.unique(counts):
+            group = np.flatnonzero(counts == n)
+            pos = np.stack([blocks_list[i][channel].grid_positions for i in group])
+            vec = np.stack([blocks_list[i][channel].vectors for i in group])
+            order = np.lexsort((pos[..., 0], pos[..., 1]))[..., None]  # per image
+            pos, vec = np.take_along_axis(pos, order, 1), np.take_along_axis(vec, order, 1)
+            step = max(1, ASSIGN_ROWS // n)
+            parts = [soft_assign(vec[s : s + step], codebook, soft_k)
+                     for s in range(0, len(group), step)]
+            idx, w = (np.concatenate(a) for a in zip(*parts))
 
-        k = codebook.k
-        hist = np.zeros((PYRAMID_BLOCKS, k), dtype=np.float64)
-        block_offset = 0
-        for rows, cols in PYRAMID_GRIDS:
-            r = _grid_index(positions[:, 1], height, rows)
-            c = _grid_index(positions[:, 0], width, cols)
-            flat_block = block_offset + r * cols + c
-            np.add.at(hist, (flat_block[:, None], idx), w)
-            block_offset += rows * cols
-        sums = hist.sum(axis=1, keepdims=True)
-        nonempty = sums[:, 0] > 0
-        hist[nonempty] /= sums[nonempty]
-        out[channel] = hist.ravel()
-    return FeatureSet(vectors=out)
+            hist = np.zeros((len(group), PYRAMID_BLOCKS, codebook.k), dtype=np.float64)
+            image, size, offset = np.arange(len(group))[:, None, None], extents[group, None], 0
+            for rows, cols in PYRAMID_GRIDS:
+                r = _grid_index(pos[..., 1], size[..., 1], rows)
+                c = _grid_index(pos[..., 0], size[..., 0], cols)
+                np.add.at(hist, (image, (offset + r * cols + c)[..., None], idx), w)
+                offset += rows * cols
+            sums = hist.sum(axis=2, keepdims=True)
+            np.divide(hist, sums, out=hist, where=sums > 0)
+            for i, vector in zip(group, hist.reshape(len(group), -1)):
+                out[i].vectors[channel] = vector
+    return out
 
 
-def _grid_index(coords: np.ndarray, extent: float, cells: int) -> np.ndarray:
-    if extent <= 0:
-        return np.zeros(coords.shape[0], dtype=np.intp)
+def _grid_index(coords: np.ndarray, extent: np.ndarray, cells: int) -> np.ndarray:
     idx = np.floor(coords * cells / extent).astype(np.intp)
     return np.clip(idx, 0, cells - 1)
 
@@ -291,10 +309,7 @@ def load_descriptors(image_path: str | Path, channel: str) -> DescriptorBlock:
     image_path = Path(image_path)
     if image_path.suffix == ".ppm":
         return builtin_descriptors(read_ppm(image_path), channel)
-    cbfv = image_path.parent / f"{image_path.name}.{channel}.cbfv"
-    if not cbfv.is_file():
-        raise DataFormatError(f"missing descriptor file {cbfv}")
-    positions, vectors = read_cbfv(cbfv)
+    positions, vectors = read_cbfv(image_path.parent / f"{image_path.name}.{channel}.cbfv")
     return DescriptorBlock(channel=channel, grid_positions=positions, vectors=vectors)
 
 
@@ -304,9 +319,31 @@ def encode_from_path(
     soft_k: int = 5,
 ) -> FeatureSet:
     """Load/compute descriptors for every codebook channel and encode."""
-    blocks = {ch: load_descriptors(image_path, ch) for ch in codebooks}
-    if not blocks:
+    _, bad, matrices = encode_paths([image_path], codebooks, soft_k)
+    if bad:
+        raise bad[0][1]
+    return FeatureSet(vectors={ch: m[0] for ch, m in matrices.items()})
+
+
+def encode_paths(
+    paths: list, codebooks: dict[str, Codebook], soft_k: int = 5
+) -> tuple[list, list[tuple[object, Exception]], dict[str, np.ndarray]]:
+    """Encode the images at paths in one encode_images batch.
+
+    Returns (kept paths, (path, error) for each image whose descriptors
+    failed to load, {channel: (kept images x dim) histograms}).
+    """
+    if not codebooks:
         raise PreconditionError("no channels configured")
-    any_block = next(iter(blocks.values()))
-    size = infer_image_size(any_block.grid_positions)
-    return encode_image(blocks, codebooks, size, soft_k=soft_k)
+    kept, bad, loaded = [], [], []
+    for path in paths:
+        try:
+            blocks = {ch: load_descriptors(path, ch) for ch in codebooks}
+        except (DataFormatError, PreconditionError) as exc:
+            bad.append((path, exc))
+        else:
+            kept.append(path)
+            loaded.append(blocks)
+    sizes = [infer_image_size(next(iter(b.values())).grid_positions) for b in loaded]
+    feats = encode_images(loaded, codebooks, sizes, soft_k)
+    return kept, bad, {ch: np.array([fs.vectors[ch] for fs in feats]) for ch in codebooks}

@@ -60,6 +60,8 @@ _DEPS: dict[str, tuple[str, ...]] = {
     "recount": ("eval",),
 }
 
+ENCODE_CHUNK = 64  # images per encode batch; fixed, so batches never depend on workers
+
 
 def run_stage(
     stage: str,
@@ -160,7 +162,8 @@ def _feature_set(store: ModelStore, image_id: str) -> encode.FeatureSet:
 
 
 def _plan(store: ModelStore, event_id: str) -> semmatch.QueryPlan:
-    return semmatch.plan_from_dict(store.read_json(f"plans/{event_id}.json"))
+    relpath = f"plans/{event_id}.json"
+    return semmatch.plan_from_dict(store.read_json(relpath), source=str(store.path(relpath)))
 
 
 def _candidates(store: ModelStore) -> list[dict]:
@@ -292,12 +295,16 @@ def _stage_encode(config: PipelineConfig, store: ModelStore, workers: int) -> di
     records = _records(config, tree, lexicon)
     books = _codebooks(store, config)
 
-    def job(record: corpus.ImageRecord) -> int:
-        fs = encode.encode_from_path(record.image_path, books, soft_k=config.soft_k)
-        write_cbfh(store.path("features", f"{record.image_id}.cbfh"), fs.vectors)
-        return next(iter(fs.vectors.values())).size
+    def job(chunk: list[corpus.ImageRecord]) -> int:
+        _, bad, mats = encode.encode_paths([r.image_path for r in chunk], books, config.soft_k)
+        if bad:
+            raise bad[0][1]  # a bad corpus image fails the stage
+        for i, record in enumerate(chunk):
+            write_cbfh(store.path("features", f"{record.image_id}.cbfh"), {c: m[i] for c, m in mats.items()})
+        return next(iter(mats.values())).shape[1]
 
-    dims = _pmap(job, records, workers)
+    chunks = [records[i : i + ENCODE_CHUNK] for i in range(0, len(records), ENCODE_CHUNK)]
+    dims = _pmap(job, chunks, workers)
     return {"images": len(records), "dims_per_channel": dims[0] if dims else 0}
 
 
@@ -515,8 +522,8 @@ def _stage_represent(config: PipelineConfig, store: ModelStore, workers: int) ->
     detectors = {cid: store.load_detector(cid) for cid in sorted(set(layout))}
     books = _codebooks(store, config)
 
-    def encoder(path: Path) -> encode.FeatureSet:
-        return encode.encode_from_path(path, books, soft_k=config.soft_k)
+    def encoder(paths: list[Path]) -> tuple[list, list, dict[str, np.ndarray]]:
+        return encode.encode_paths(paths, books, soft_k=config.soft_k)
 
     report = {}
     for split, field in (("train", "video_manifest_train"), ("test", "video_manifest_test")):

@@ -142,12 +142,17 @@ def plan_to_dict(plan: QueryPlan) -> dict:
     }
 
 
-def plan_from_dict(doc: dict) -> QueryPlan:
-    return QueryPlan(
-        query=doc["query"],
-        selections=[(e["concept_id"], float(e["score"])) for e in doc["selections"]],
-        n=int(doc["n"]),
-    )
+def plan_from_dict(doc: dict, source: str = "plan") -> QueryPlan:
+    """Inverse of plan_to_dict; DataFormatError naming source if malformed."""
+    try:
+        sel = [(e["concept_id"], e["score"]) for e in doc["selections"]]
+        ok = isinstance(doc["query"], str) and type(doc["n"]) is int
+        ok = ok and all(isinstance(c, str) and type(s) in (int, float) for c, s in sel)
+    except (KeyError, TypeError):
+        ok = False
+    if not ok:
+        raise DataFormatError(f"malformed query plan {source}: missing or wrong-typed key")
+    return QueryPlan(query=doc["query"], selections=[(c, float(s)) for c, s in sel], n=doc["n"])
 
 
 def load_word_pairs(path: str | Path) -> dict[tuple[str, str], float]:

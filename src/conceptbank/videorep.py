@@ -19,7 +19,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .detect import DetectorModel
-from .encode import FeatureSet
 from .errors import DataFormatError, PreconditionError
 
 
@@ -77,37 +76,27 @@ def represent(
     entry: VideoManifestEntry,
     concept_ids: Sequence[str],
     detectors: Mapping[str, DetectorModel],
-    encoder: Callable[[Path], FeatureSet],
+    encoder: Callable[[list[Path]], tuple[list, list, dict[str, np.ndarray]]],
     m: int = 20,
 ) -> VideoRepresentation:
     """Average-pooled calibrated concept scores over m sampled frames.
 
-    Frames that fail to decode or encode are skipped with a warning; the
-    video errors out only when no frame survives.
+    encoder batch-encodes the sampled frames like encode.encode_paths.
+    Frames it skips are warned about; the video errors out only when no
+    frame survives.
     """
     missing = [c for c in concept_ids if c not in detectors]
     if missing:
         raise PreconditionError(f"no trained detector for: {missing[:5]}")
-    sampled = sample_frames(entry.frame_paths, m)
-    feature_sets: list[FeatureSet] = []
-    for path in sampled:
-        try:
-            feature_sets.append(encoder(path))
-        except (DataFormatError, PreconditionError) as exc:
-            warnings.warn(
-                f"video {entry.video_id}: skipping frame {path}: {exc}",
-                stacklevel=2,
-            )
-    if not feature_sets:
+    kept, skipped, stacked = encoder(sample_frames(entry.frame_paths, m))
+    for path, exc in skipped:
+        warnings.warn(f"video {entry.video_id}: skipping frame {path}: {exc}", stacklevel=2)
+    if not kept:
         raise DataFormatError(f"video {entry.video_id}: no usable frames")
 
-    channels = feature_sets[0].channels
-    stacked = {
-        ch: np.stack([fs.vectors[ch] for fs in feature_sets]) for ch in channels
-    }
     # a layout may repeat a concept (one slot per plan); score each once
     unique = {cid: row for row, cid in enumerate(dict.fromkeys(concept_ids))}
-    per_concept = np.empty((len(unique), len(feature_sets)), dtype=np.float64)
+    per_concept = np.empty((len(unique), len(kept)), dtype=np.float64)
     for cid, row in unique.items():
         model = detectors[cid]
         feats = {ch: stacked[ch] for ch in model.channels}
@@ -117,7 +106,7 @@ def represent(
         video_id=entry.video_id,
         concept_ids=list(concept_ids),
         scores=pooled[[unique[cid] for cid in concept_ids]],
-        frames_used=len(feature_sets),
+        frames_used=len(kept),
     )
 
 

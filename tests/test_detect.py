@@ -7,6 +7,7 @@ import pytest
 
 from conceptbank.detect import (
     DetectorTrainingProblem,
+    _smo,
     KernelSpec,
     VisualnessReport,
     calibrate,
@@ -151,10 +152,27 @@ def test_solver_converges_on_near_duplicate_rows(seed):
     assert model.objective == pytest.approx(tight.objective, abs=1e-6)
 
 
+def toy_dual(gamma=0.01):
+    """(Q, y) of toy_problem's dual, as train_mklsvm hands them to _smo."""
+    problem = toy_problem(gamma=gamma)
+    y = problem.labels
+    return np.outer(y, y) * problem.gram[0] + gamma * np.eye(2), y
+
+
 def test_iteration_cap_warning_names_the_concept():
-    # a negative tolerance is never met, so the solve runs to its cap
+    # one pair update is all the solve may make, so it stops at its cap
+    q, y = toy_dual()
     with pytest.warns(RuntimeWarning, match=r"^SMO iteration cap.*con-cap"):
-        train_mklsvm(toy_problem(gamma=0.01), tol=-1.0, concept_id="con-cap")
+        _smo(q, y, 10.0, 1e-4, concept_id="con-cap", max_iter=1)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_non_positive_tolerance_is_rejected(tol):
+    q, y = toy_dual()
+    with pytest.raises(PreconditionError, match="tolerance must be > 0"):
+        _smo(q, y, 10.0, tol)
+    with pytest.raises(PreconditionError, match="tolerance must be > 0"):
+        train_mklsvm(toy_problem(gamma=0.01), tol=tol, concept_id="con-tol")
 
 
 def test_problem_validation():

@@ -1,21 +1,31 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conceptbank import encode
 from conceptbank.encode import (
+    ASSIGN_ROWS,
     PYRAMID_BLOCKS,
     PYRAMID_GRIDS,
     Codebook,
     DescriptorBlock,
     FeatureSet,
     builtin_descriptors,
+    encode_from_path,
     encode_image,
+    encode_images,
+    encode_paths,
     infer_image_size,
+    load_descriptors,
     soft_assign,
     train_codebook,
 )
-from conceptbank.errors import PreconditionError
+from conceptbank.errors import DataFormatError, PreconditionError
+from conceptbank.formats import write_cbfv
 
 
 def test_codebook_recovers_separated_clusters():
@@ -150,6 +160,102 @@ def test_encode_rejects_empty_blocks_and_unknown_channels():
         encode_image({"t": empty}, {"t": cb}, image_size=(10, 10))
     with pytest.raises(PreconditionError, match="without codebook"):
         encode_image({"u": one_patch_block(1, 1, [0.0])}, {"t": cb}, (10, 10))
+
+
+def random_image(rng, n, width, height, dims):
+    """One image's blocks: n patches at distinct centers inside the image."""
+    cells = rng.choice(int(width) * int(height), size=n, replace=False)
+    pos = np.stack([cells % int(width), cells // int(width)], axis=1) + 0.5
+    return {
+        ch: DescriptorBlock(ch, pos, rng.normal(size=(n, d))) for ch, d in dims.items()
+    }
+
+
+def shuffled(blocks, rng):
+    perm = rng.permutation(next(iter(blocks.values())).vectors.shape[0])
+    return {
+        ch: DescriptorBlock(ch, b.grid_positions[perm], b.vectors[perm])
+        for ch, b in blocks.items()
+    }
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    counts=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+    k=st.integers(1, 8),
+    soft_k=st.integers(1, 10),
+    zero_sigma=st.booleans(),
+)
+def test_batch_encoding_matches_encoding_each_image_alone(seed, counts, k, soft_k, zero_sigma):
+    rng = np.random.default_rng(seed)
+    dims = {"b": int(rng.integers(1, 5)), "a": int(rng.integers(2, 40))}
+    books = {
+        ch: Codebook(ch, rng.normal(size=(k, d)), 0, 0.0 if zero_sigma else rng.uniform(0.1, 3))
+        for ch, d in dims.items()
+    }
+    sizes = [(float(rng.integers(4, 60)), float(rng.integers(4, 60))) for _ in counts]
+    images = [random_image(rng, n, w, h, dims) for n, (w, h) in zip(counts, sizes)]
+    # the batch sees each image's patches in another order than the single encode
+    batch = encode_images([shuffled(b, rng) for b in images], books, sizes, soft_k)
+    for fs, blocks, size in zip(batch, images, sizes):
+        alone = encode_image(blocks, books, size, soft_k)
+        assert fs.channels == alone.channels == ["b", "a"]
+        for ch in fs.channels:
+            assert np.array_equal(fs.vectors[ch], alone.vectors[ch])
+
+
+def test_batch_encoding_splits_rows_into_bounded_soft_assign_calls(monkeypatch):
+    rng = np.random.default_rng(17)
+    third = ASSIGN_ROWS // 3 + 1
+    counts = [third] * 4 + [ASSIGN_ROWS + 5, 3, 3]
+    books = {"t": Codebook("t", rng.normal(size=(16, 4)), 0, 1.0)}
+    images = [random_image(rng, n, 200, 200, {"t": 4}) for n in counts]
+    rows_per_call = []
+
+    def counting(vectors, codebook, soft_k=5):
+        rows_per_call.append(vectors.shape[0] * vectors.shape[1])
+        return soft_assign(vectors, codebook, soft_k)
+
+    monkeypatch.setattr(encode, "soft_assign", counting)
+    batch = encode_images(images, books, [(200.0, 200.0)] * len(counts), 5)
+    # two calls for the four equal images, one for the oversized one, one for the pair
+    assert sorted(rows_per_call) == [6, 2 * third, 2 * third, ASSIGN_ROWS + 5]
+    monkeypatch.undo()
+    for fs, blocks in zip(batch, images):
+        alone = encode_image(blocks, books, (200.0, 200.0))
+        assert np.array_equal(fs.vectors["t"], alone.vectors["t"])
+
+
+def test_batch_encoding_of_no_images_is_empty():
+    assert encode_images([], {"t": unit_codebook([[0.0]])}, []) == []
+
+
+def test_missing_descriptor_file_names_the_file(tmp_path):
+    missing = tmp_path / "frame-000.syn-a.cbfv"
+    with pytest.raises(DataFormatError, match=re.escape(str(missing))):
+        load_descriptors(tmp_path / "frame-000", "syn-a")
+
+
+def test_encode_paths_skips_unloadable_images(tmp_path):
+    rng = np.random.default_rng(5)
+    books = {"g": Codebook("g", rng.normal(size=(4, 3)), 0, 1.0)}
+    paths = [tmp_path / f"im-{i}" for i in range(5)]
+    for path in paths:
+        write_cbfv(f"{path}.g.cbfv", rng.uniform(5, 35, size=(9, 2)), rng.normal(size=(9, 3)))
+    (tmp_path / "im-1.g.cbfv").unlink()
+    (tmp_path / "im-2.g.cbfv").write_bytes(b"CBFV")
+    (tmp_path / "im-3.g.cbfv").write_bytes(b"not a descriptor file")
+    kept, skipped, matrices = encode_paths(paths, books)
+    assert kept == [paths[0], paths[4]]
+    assert [p for p, _ in skipped] == paths[1:4]
+    for path, exc in skipped:
+        assert isinstance(exc, DataFormatError) and path.name in str(exc)
+    assert matrices["g"].shape == (2, PYRAMID_BLOCKS * 4)
+    for row, path in zip(matrices["g"], kept):
+        assert np.array_equal(row, encode_from_path(path, books).vectors["g"])
+    kept, skipped, matrices = encode_paths(paths[1:2], books)
+    assert kept == [] and len(skipped) == 1 and matrices["g"].size == 0
 
 
 def test_builtin_descriptor_grid_counts():

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import re
 import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conceptbank.errors import PreconditionError
+from conceptbank.cli import main
+from conceptbank.errors import DataFormatError, PreconditionError
 from conceptbank.pipeline import run_stage
 from conceptbank.retrieve import (
     RankList,
@@ -183,6 +185,22 @@ def test_retrieve_stage_ranks_with_the_stored_plan(full_store, corpus_config, tm
     report = store.read_json(f"reports/retrieval/{event_id}.json")
     assert report["concepts_used"] == [first["concept_id"]]
     assert report["d"] == 1
+
+
+def test_retrieve_stage_rejects_a_plan_without_n(
+    full_store, corpus_config, corpus_dir, tmp_path, capsys
+):
+    store = ModelStore(tmp_path / "store")
+    shutil.copytree(full_store.root, store.root)
+    path = sorted(store.path("plans").glob("*.json"))[0]
+    plan = store.read_json(f"plans/{path.name}")
+    del plan["n"]
+    store.write_json(f"plans/{path.name}", plan)
+    with pytest.raises(DataFormatError, match=re.escape(f"malformed query plan {path}")):
+        run_stage("retrieve", corpus_config, store.root)
+    config = corpus_dir[0] / "config.json"
+    assert main(["retrieve", "--store", str(store.root), "--config", str(config)]) == 3
+    assert str(path) in capsys.readouterr().err
 
 
 def event_reps(seed=0, n_per=12):

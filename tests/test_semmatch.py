@@ -198,6 +198,35 @@ def test_plan_round_trip():
     assert clone.concept_ids == ["con-1", "con-0"]
 
 
+def _without_n(doc):
+    del doc["n"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _without_n,
+        lambda doc: doc.update(query=7),
+        lambda doc: doc.update(n="7"),
+        lambda doc: doc.update(n=7.0),
+        lambda doc: doc.update(n=True),
+        lambda doc: doc.update(selections=3),
+        lambda doc: doc.update(selections={"con-1": 0.5}),
+        lambda doc: doc.update(selections=[["con-1", 0.5]]),
+        lambda doc: doc["selections"][0].update(concept_id=1),
+        lambda doc: doc["selections"][0].update(score="0.5"),
+        lambda doc: doc["selections"][0].pop("score"),
+    ],
+)
+def test_plan_loader_rejects_missing_or_mistyped_keys(edit):
+    doc = plan_to_dict(QueryPlan(query="wash", selections=[("con-1", 0.5)], n=7))
+    edit(doc)
+    with pytest.raises(DataFormatError, match="malformed query plan plans/evt.json"):
+        plan_from_dict(doc, source="plans/evt.json")
+    with pytest.raises(DataFormatError, match="malformed query plan"):
+        plan_from_dict([doc])
+
+
 def test_word_pair_table_parsing(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("# comment\ndog\tcat\t0.6\n\nsun\tmoon\t0.25\n", encoding="utf-8")

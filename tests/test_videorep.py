@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conceptbank.detect import DetectorTrainingProblem, KernelSpec, train_mklsvm
-from conceptbank.encode import FeatureSet
+from conceptbank.encode import PYRAMID_BLOCKS, Codebook, encode_paths
 from conceptbank.errors import DataFormatError, PreconditionError
+from conceptbank.formats import write_cbfv
 from conceptbank.videorep import (
     VideoManifestEntry,
     VideoRepresentation,
@@ -62,10 +63,14 @@ def trained_detector(direction, concept_id):
 
 
 def frame_encoder(table):
-    def encode(path):
-        if path not in table:
-            raise DataFormatError(f"no frame at {path}")
-        return FeatureSet({"f": np.asarray(table[path], dtype=np.float64)})
+    """Batch encoder over a {frame: 2-d feature} table; unknown frames
+    are skipped with a DataFormatError, as encode.encode_paths does."""
+
+    def encode(paths):
+        kept = [p for p in paths if p in table]
+        skipped = [(p, DataFormatError(f"no frame at {p}")) for p in paths if p not in table]
+        rows = np.array([table[p] for p in kept], dtype=np.float64).reshape(len(kept), 2)
+        return kept, skipped, {"f": rows}
 
     return encode
 
@@ -119,6 +124,34 @@ def test_represent_skips_bad_frames_but_needs_one():
     with pytest.warns(UserWarning):
         with pytest.raises(DataFormatError, match="no usable frames"):
             represent(entry, ["con-a"], det, frame_encoder(table), m=4)
+
+
+def test_represent_skips_a_bad_middle_frame(tmp_path):
+    rng = np.random.default_rng(7)
+    books = {"f": Codebook("f", rng.normal(size=(2, 3)), train_seed=0, soft_sigma=0.5)}
+    frames = [tmp_path / f"frame-{i}" for i in range(3)]
+    for stem in frames:
+        write_cbfv(f"{stem}.f.cbfv", rng.uniform(5, 35, size=(9, 2)), rng.normal(size=(9, 3)))
+    (tmp_path / "frame-1.f.cbfv").write_bytes(b"CBFV")  # truncated
+    x = rng.uniform(size=(4, PYRAMID_BLOCKS * 2))
+    problem = DetectorTrainingProblem(
+        gram=[x @ x.T],
+        labels=np.array([1.0, 1.0, -1.0, -1.0]),
+        channels=["f"],
+        features={"f": x},
+        kernels={"f": KernelSpec("linear")},
+    )
+    det = {"con-a": train_mklsvm(problem, concept_id="con-a")}
+
+    def encoder(paths):
+        return encode_paths(paths, books)
+
+    with pytest.warns(UserWarning, match="vid-m: skipping frame .*frame-1"):
+        rep = represent(VideoManifestEntry("vid-m", frames), ["con-a"], det, encoder, m=3)
+    good = VideoManifestEntry("vid-m", [frames[0], frames[2]])
+    alone = represent(good, ["con-a"], det, encoder, m=3)
+    assert rep.frames_used == alone.frames_used == 2
+    assert np.array_equal(rep.scores, alone.scores)
 
 
 def test_represent_requires_detectors_for_the_plan():
