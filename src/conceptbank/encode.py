@@ -331,7 +331,8 @@ def encode_paths(
     """Encode the images at paths in one encode_images batch.
 
     Returns (kept paths, (path, error) for each image whose descriptors
-    failed to load, {channel: (kept images x dim) histograms}).
+    failed to load or have no patches or another dim than the codebook's,
+    {channel: (kept images x dim) histograms}).
     """
     if not codebooks:
         raise PreconditionError("no channels configured")
@@ -339,6 +340,12 @@ def encode_paths(
     for path in paths:
         try:
             blocks = {ch: load_descriptors(path, ch) for ch in codebooks}
+            for ch, block in blocks.items():
+                (n, dim), want = block.vectors.shape, codebooks[ch].centers.shape[1]
+                if not n or dim != want:
+                    raise DataFormatError(
+                        f"{path}.{ch}.cbfv: {n} patches of dim {dim}, codebook dim {want}"
+                    )
         except (DataFormatError, PreconditionError) as exc:
             bad.append((path, exc))
         else:

@@ -1,12 +1,14 @@
 """Five-layer tree ontology: root, category, subcategory, event, concept.
 
-The first four layers come from a hierarchy document (UTF-8 JSON); concept
-leaves are attached per event once tag discovery has produced candidates.
+The first four layers come from a hierarchy document (UTF-8 JSON); they are
+all that a store's ontology.json holds. Concept leaves are attached per event
+in memory: tag discovery attaches candidates to number them, and the pipeline
+re-attaches them under those ids and prunes those verification rejected.
 Events carry a visually_detectable flag that gates concept discovery and a
 list of article names used as corpus query keys.
 
-The tree is immutable once the construction stages are done; reads need no
-locking. Attaching/pruning concepts is single-writer.
+A tree is immutable once built; reads need no locking. Attaching/pruning
+concepts is single-writer.
 """
 
 from __future__ import annotations
@@ -56,9 +58,6 @@ class ConceptBankTree:
         except KeyError:
             raise PreconditionError(f"node not found: {node_id}") from None
 
-    def children(self, node_id: str) -> list[OntologyNode]:
-        return [self.nodes[c] for c in self.node(node_id).children]
-
     def iter_layer(self, layer: str) -> Iterator[OntologyNode]:
         if layer not in LAYER_DEPTH:
             raise PreconditionError(f"unknown layer: {layer}")
@@ -73,12 +72,8 @@ class ConceptBankTree:
         return counts
 
     def events(self, detectable_only: bool = False) -> list[OntologyNode]:
-        out = []
-        for node in self.iter_layer("event"):
-            if detectable_only and not node.visually_detectable:
-                continue
-            out.append(node)
-        return out
+        nodes = self.iter_layer("event")
+        return [n for n in nodes if n.visually_detectable or not detectable_only]
 
     def event_by_name(self, name: str) -> OntologyNode:
         for node in self.iter_layer("event"):

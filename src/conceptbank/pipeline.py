@@ -2,10 +2,14 @@
 
 Stage order: ontology -> discover -> codebook -> encode -> select ->
 verify -> train -> match -> represent -> {retrieve | detect} -> eval ->
-recount. Each stage reads upstream artifacts from the model store,
-refuses to run when an upstream stage is missing or was built under a
-different config hash, and rewrites byte-identical outputs when re-run
-on unchanged inputs. Independent per-concept / per-image / per-video
+recount; _STAGE_TABLE pairs each stage with its upstream stages. Each
+stage reads upstream artifacts from the model store, refuses to run
+when an upstream stage is missing or was built under a different config
+hash, writes only files that no other stage writes, and rewrites
+byte-identical outputs when re-run on unchanged inputs. So ontology.json
+stays the bare hierarchy, and _concept_tree derives the verified concept
+bank from it, candidates.json and reports/visualness.json for the
+stages that need concepts. Independent per-concept / per-image / per-video
 work is sharded over a thread pool; every merge happens in a fixed
 order and every random draw uses a seed derived from the config, so the
 store's bytes do not depend on the worker count.
@@ -14,6 +18,7 @@ store's bytes do not depend on the worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -21,82 +26,14 @@ import numpy as np
 
 from . import corpus, detect, encode, select, semmatch, videorep
 from .config import PipelineConfig
-from .errors import ConceptBankError, PreconditionError
+from .errors import ConceptBankError, DataFormatError, PreconditionError
 from .formats import read_cbcb, read_cbfh, read_cbvr, write_cbcb, write_cbfh, write_cbvr
 from .metrics import LabeledRanking, average_precision
 from .ontology import ConceptBankTree, load_hierarchy
 from .retrieve import detect_events, train_event_detector, zero_shot_retrieve
 from .store import ModelStore
 
-STAGES = (
-    "ontology",
-    "discover",
-    "codebook",
-    "encode",
-    "select",
-    "verify",
-    "train",
-    "match",
-    "represent",
-    "retrieve",
-    "detect",
-    "eval",
-    "recount",
-)
-
-_DEPS: dict[str, tuple[str, ...]] = {
-    "ontology": (),
-    "discover": ("ontology",),
-    "codebook": ("discover",),
-    "encode": ("codebook",),
-    "select": ("encode",),
-    "verify": ("select",),
-    "train": ("verify",),
-    "match": ("train",),
-    "represent": ("match",),
-    "retrieve": ("represent",),
-    "detect": ("represent",),
-    "eval": ("represent",),
-    "recount": ("eval",),
-}
-
 ENCODE_CHUNK = 64  # images per encode batch; fixed, so batches never depend on workers
-
-
-def run_stage(
-    stage: str,
-    config: PipelineConfig,
-    store_root: str | Path,
-    workers: int = 1,
-    force: bool = False,
-) -> dict:
-    """Run one pipeline stage against the store; returns its report."""
-    if stage not in STAGES:
-        raise PreconditionError(f"unknown stage {stage!r}; known: {', '.join(STAGES)}")
-    store = ModelStore(store_root)
-    store.initialize(config.config_hash, force=force)
-    store.require_upstream(_DEPS[stage], config.config_hash, force=force)
-    if stage == "eval":
-        manifest = store.read_manifest()["stages"]
-        if "retrieve" not in manifest and "detect" not in manifest:
-            raise PreconditionError("missing upstream: retrieve or detect")
-    runner = _STAGE_FNS[stage]
-    try:
-        report = runner(config, store, workers)
-    except ConceptBankError as exc:
-        raise type(exc)(f"[stage {stage}] {exc}") from exc
-    store.mark_stage(stage, config.config_hash)
-    return {"stage": stage, **report}
-
-
-def run_all(
-    config: PipelineConfig,
-    store_root: str | Path,
-    workers: int = 1,
-    force: bool = False,
-    stages: Sequence[str] = STAGES,
-) -> list[dict]:
-    return [run_stage(s, config, store_root, workers, force) for s in stages]
 
 
 def _pmap(fn: Callable, items: Iterable, workers: int) -> list:
@@ -114,7 +51,10 @@ def _tree(store: ModelStore) -> ConceptBankTree:
     path = store.path("ontology.json")
     if not path.exists():
         raise PreconditionError("store has no ontology.json")
-    return ConceptBankTree.from_json(path.read_text(encoding="utf-8"))
+    tree = ConceptBankTree.from_json(path.read_text(encoding="utf-8"))
+    if tree.concept_leaves():  # written by an older version; re-run ontology
+        raise DataFormatError(f"{path} holds concept leaves, not the bare hierarchy")
+    return tree
 
 
 def _lexicon(config: PipelineConfig) -> corpus.Lexicon:
@@ -166,8 +106,55 @@ def _plan(store: ModelStore, event_id: str) -> semmatch.QueryPlan:
     return semmatch.plan_from_dict(store.read_json(relpath), source=str(store.path(relpath)))
 
 
+def _stack(features: list[encode.FeatureSet], channels) -> dict[str, np.ndarray]:
+    return {ch: np.stack([f.vectors[ch] for f in features]) for ch in channels}
+
+
+def _checked(store: ModelStore, relpath: str, entries, keys: dict[str, type]) -> list[dict]:
+    """entries, if it is a list of dicts whose keys have exactly these types
+    and whose lists hold strings; else DataFormatError naming the file."""
+    if type(entries) is not list or not all(
+        isinstance(e, dict)
+        and all(type(e.get(k)) is t for k, t in keys.items())
+        and all(type(x) is str for k, t in keys.items() if t is list for x in e[k])
+        for e in entries
+    ):
+        raise DataFormatError(f"malformed {store.path(relpath)}: missing or wrong-typed key")
+    return entries
+
+
 def _candidates(store: ModelStore) -> list[dict]:
-    return store.read_json("candidates.json")["candidates"]
+    doc = store.read_json("candidates.json")
+    entries = doc.get("candidates") if isinstance(doc, dict) else None
+    keys = {"concept_id": str, "event_id": str, "name": str, "frequency": int, "image_ids": list}
+    return _checked(store, "candidates.json", entries, keys)
+
+
+def _concept_tree(store: ModelStore) -> ConceptBankTree:
+    """The verified concept bank: the ontology's hierarchy with every candidate
+    re-attached under its stored id, minus those reports/visualness.json rejects."""
+    tree, candidates = _tree(store), _candidates(store)
+    relpath = "reports/visualness.json"
+    verdicts = store.read_json(relpath)
+    keys = {"concept_id": str, "cv_ap": float, "training_image_count": int, "passed": bool}
+    _checked(store, relpath, list(verdicts.values()) if isinstance(verdicts, dict) else None, keys)
+    pairs = sorted((cid, v["concept_id"]) for cid, v in verdicts.items())
+    if pairs != [(c, c) for c in sorted(c["concept_id"] for c in candidates)]:
+        raise DataFormatError(
+            f"{store.path(relpath)} does not match candidates.json; re-run verify"
+        )
+    for cand in candidates:
+        try:
+            ids = tree.attach_concepts(cand["event_id"], [cand["name"]])
+        except PreconditionError as exc:
+            ids = str(exc)
+        if ids != [cand["concept_id"]]:
+            raise DataFormatError(
+                f"{store.path('candidates.json')}: {cand['concept_id']} re-attaches as {ids}"
+            )
+        if not verdicts[cand["concept_id"]]["passed"]:
+            tree.prune_concept(cand["concept_id"])
+    return tree
 
 
 def _load_reps(store: ModelStore, split: str) -> list[videorep.VideoRepresentation]:
@@ -230,18 +217,8 @@ def _stage_discover(config: PipelineConfig, store: ModelStore, workers: int) -> 
             continue
         found = corpus.discover_candidates(recs, lexicon, top_k=config.top_k_tags)
         ids = tree.attach_concepts(event.id, [c.name for c in found])
-        for cid, cand in zip(ids, found):
-            out.append(
-                {
-                    "concept_id": cid,
-                    "event_id": cand.event_id,
-                    "name": cand.name,
-                    "frequency": cand.frequency,
-                    "image_ids": cand.image_ids,
-                }
-            )
+        out.extend({"concept_id": cid, **asdict(cand)} for cid, cand in zip(ids, found))
     store.write_json("candidates.json", {"candidates": out})
-    store.path("ontology.json").write_text(tree.to_json(), encoding="utf-8")
     return {
         "candidates": len(out),
         "events_with_images": len(by_event),
@@ -368,23 +345,17 @@ def _stage_verify(config: PipelineConfig, store: ModelStore, workers: int) -> di
     records = _records(config, tree, lexicon)
     candidates = sorted(_candidates(store), key=lambda c: c["concept_id"])
     features = {r.image_id: _feature_set(store, r.image_id) for r in records}
-    by_id = {r.image_id: r for r in records}
     seed0 = config.seed_for("verify")
-
-    def matrices(ids: list[str]) -> dict[str, np.ndarray]:
-        return {
-            ch: np.stack([features[i].vectors[ch] for i in ids])
-            for ch in config.channels
-        }
 
     def job(item: tuple[int, dict]) -> detect.VisualnessReport:
         idx, cand = item
         cid, name = cand["concept_id"], cand["name"]
         pos_ids = cand["image_ids"]
+        pos = set(pos_ids)
         neg_ids = [
             r.image_id
             for r in records
-            if name not in r.canonical_tags() and r.image_id not in set(pos_ids)
+            if name not in r.canonical_tags() and r.image_id not in pos
         ]
         if len(pos_ids) < 2 or len(neg_ids) < len(pos_ids):
             return detect.VisualnessReport(
@@ -395,8 +366,8 @@ def _stage_verify(config: PipelineConfig, store: ModelStore, workers: int) -> di
             )
         return detect.verify_visualness(
             cid,
-            matrices(pos_ids),
-            matrices(neg_ids),
+            _stack([features[i] for i in pos_ids], config.channels),
+            _stack([features[i] for i in neg_ids], config.channels),
             seed=seed0 + idx,
             C=config.C,
             gamma=config.gamma,
@@ -407,10 +378,6 @@ def _stage_verify(config: PipelineConfig, store: ModelStore, workers: int) -> di
     reports = _pmap(job, list(enumerate(candidates)), workers)
     doc = {r.concept_id: r.to_dict() for r in reports}
     store.write_json("reports/visualness.json", doc)
-    for r in reports:
-        if not r.passed:
-            tree.prune_concept(r.concept_id)
-    store.path("ontology.json").write_text(tree.to_json(), encoding="utf-8")
     passed = sorted(r.concept_id for r in reports if r.passed)
     return {
         "verified": len(passed),
@@ -420,8 +387,7 @@ def _stage_verify(config: PipelineConfig, store: ModelStore, workers: int) -> di
 
 
 def _stage_train(config: PipelineConfig, store: ModelStore, workers: int) -> dict:
-    tree = _tree(store)
-    leaves = sorted(tree.concept_leaves(), key=lambda n: n.id)
+    leaves = sorted(_concept_tree(store).concept_leaves(), key=lambda n: n.id)
     seed0 = config.seed_for("train")
 
     def job(item: tuple[int, object]) -> tuple[str, dict]:
@@ -441,10 +407,7 @@ def _stage_train(config: PipelineConfig, store: ModelStore, workers: int) -> dic
         tr_n, ho_n = _holdout_split(neg_ids, config.calibration_holdout, rng)
         train_ids = tr_p + tr_n
         labels = np.array([1.0] * len(tr_p) + [-1.0] * len(tr_n))
-        feats = {
-            ch: np.stack([_feature_set(store, i).vectors[ch] for i in train_ids])
-            for ch in config.channels
-        }
+        feats = _stack([_feature_set(store, i) for i in train_ids], config.channels)
         kernels = {ch: detect.KernelSpec("linear") for ch in config.channels}
         gram = [
             detect.compute_kernel(feats[ch], feats[ch], kernels[ch])
@@ -463,10 +426,7 @@ def _stage_train(config: PipelineConfig, store: ModelStore, workers: int) -> dic
         model = detect.train_mklsvm(problem, concept_id=leaf.id)
         ho_ids = ho_p + ho_n
         ho_labels = np.array([1.0] * len(ho_p) + [-1.0] * len(ho_n))
-        ho_feats = {
-            ch: np.stack([_feature_set(store, i).vectors[ch] for i in ho_ids])
-            for ch in config.channels
-        }
+        ho_feats = _stack([_feature_set(store, i) for i in ho_ids], config.channels)
         detect.calibrate(model, model.raw_score_matrix(ho_feats), ho_labels)
         store.save_detector(model)
         return leaf.id, {
@@ -492,7 +452,7 @@ def _holdout_split(
 
 
 def _stage_match(config: PipelineConfig, store: ModelStore, workers: int) -> dict:
-    tree = _tree(store)
+    tree = _concept_tree(store)
     provider = _provider(config, _lexicon(config))
     report = {}
     for event in _sorted_events(tree):
@@ -613,14 +573,15 @@ def _stage_detect(config: PipelineConfig, store: ModelStore, workers: int) -> di
 
 def _stage_eval(config: PipelineConfig, store: ModelStore, workers: int) -> dict:
     tree = _tree(store)
-    truth = _video_labels(config, tree, config.path("video_manifest_test"))
     manifest = store.read_manifest()["stages"]
+    if "retrieve" not in manifest and "detect" not in manifest:
+        raise PreconditionError("missing upstream: retrieve or detect")
+    truth = _video_labels(config, tree, config.path("video_manifest_test"))
     out: dict = {}
-    for side, report_dir, key in (
-        ("zero_shot", "retrieval", "ordering"),
-        ("supervised", "detection", "ranking"),
+    for side, stage, report_dir, key in (
+        ("zero_shot", "retrieve", "retrieval", "ordering"),
+        ("supervised", "detect", "detection", "ranking"),
     ):
-        stage = "retrieve" if side == "zero_shot" else "detect"
         if stage not in manifest:
             continue
         per_event = {}
@@ -642,8 +603,7 @@ def _stage_eval(config: PipelineConfig, store: ModelStore, workers: int) -> dict
 
 
 def _stage_recount(config: PipelineConfig, store: ModelStore, workers: int) -> dict:
-    tree = _tree(store)
-    names = {leaf.id: leaf.name for leaf in tree.concept_leaves()}
+    names = {leaf.id: leaf.name for leaf in _concept_tree(store).concept_leaves()}
     reps = _load_reps(store, "test")
     doc = {
         rep.video_id: [[name, score] for name, score in videorep.recount(rep, names)]
@@ -653,18 +613,55 @@ def _stage_recount(config: PipelineConfig, store: ModelStore, workers: int) -> d
     return {"videos": len(doc)}
 
 
-_STAGE_FNS: dict[str, Callable[[PipelineConfig, ModelStore, int], dict]] = {
-    "ontology": _stage_ontology,
-    "discover": _stage_discover,
-    "codebook": _stage_codebook,
-    "encode": _stage_encode,
-    "select": _stage_select,
-    "verify": _stage_verify,
-    "train": _stage_train,
-    "match": _stage_match,
-    "represent": _stage_represent,
-    "retrieve": _stage_retrieve,
-    "detect": _stage_detect,
-    "eval": _stage_eval,
-    "recount": _stage_recount,
+# name -> (function, upstream stages), in pipeline order.
+_STAGE_TABLE: dict[str, tuple[Callable[..., dict], tuple[str, ...]]] = {
+    "ontology": (_stage_ontology, ()),
+    "discover": (_stage_discover, ("ontology",)),
+    "codebook": (_stage_codebook, ("discover",)),
+    "encode": (_stage_encode, ("codebook",)),
+    "select": (_stage_select, ("encode",)),
+    "verify": (_stage_verify, ("select",)),
+    "train": (_stage_train, ("verify",)),
+    "match": (_stage_match, ("train",)),
+    "represent": (_stage_represent, ("match",)),
+    "retrieve": (_stage_retrieve, ("represent",)),
+    "detect": (_stage_detect, ("represent",)),
+    "eval": (_stage_eval, ("represent",)),
+    "recount": (_stage_recount, ("eval",)),
 }
+STAGES = tuple(_STAGE_TABLE)
+
+
+# -- runner -------------------------------------------------------------
+
+
+def run_stage(
+    stage: str,
+    config: PipelineConfig,
+    store_root: str | Path,
+    workers: int = 1,
+    force: bool = False,
+) -> dict:
+    """Run one pipeline stage against the store; returns its report."""
+    if stage not in STAGES:
+        raise PreconditionError(f"unknown stage {stage!r}; known: {', '.join(STAGES)}")
+    store = ModelStore(store_root)
+    store.initialize(config.config_hash, force=force)
+    runner, upstream = _STAGE_TABLE[stage]
+    store.require_upstream(upstream, config.config_hash, force=force)
+    try:
+        report = runner(config, store, workers)
+    except ConceptBankError as exc:
+        raise type(exc)(f"[stage {stage}] {exc}") from exc
+    store.mark_stage(stage, config.config_hash)
+    return {"stage": stage, **report}
+
+
+def run_all(
+    config: PipelineConfig,
+    store_root: str | Path,
+    workers: int = 1,
+    force: bool = False,
+    stages: Sequence[str] = STAGES,
+) -> list[dict]:
+    return [run_stage(s, config, store_root, workers, force) for s in stages]

@@ -3,8 +3,8 @@
 Layout under the root:
 
     manifest.json          version, config hash, completed stages
-    ontology.json          tree with attached (and later pruned) leaves
-    candidates.json        discovered candidate concepts
+    ontology.json          the event hierarchy, written once (no concepts)
+    candidates.json        discovered candidate concepts, with their ids
     codebooks/             one CBCB file per channel
     features/              one CBFH file per manifest image
     selections/            per-concept training-set choices (JSON)
@@ -14,11 +14,13 @@ Layout under the root:
     representations/       per-split CBVR files
     reports/               visualness, retrieval, detection, eval, recount
 
-Every artifact is written deterministically (sorted JSON keys, trailing
-newline, little-endian arrays, no timestamps), so re-running a stage with
-unchanged inputs rewrites identical bytes. The manifest records the
-config hash each stage completed under; stages refuse to build on
-upstream artifacts from a different configuration unless forced.
+Each file has one writing stage. The concept bank is not a file: it is
+candidates.json minus the concepts reports/visualness.json rejects, under
+the ontology.json hierarchy. Every artifact is written deterministically
+(sorted JSON keys, trailing newline, little-endian arrays, no timestamps),
+so re-running a stage with unchanged inputs rewrites identical bytes. The
+manifest records the config hash each stage completed under; stages refuse
+to build on upstream artifacts from a different configuration unless forced.
 """
 
 from __future__ import annotations
@@ -68,8 +70,9 @@ class ModelStore:
                     "use --force to rebuild"
                 )
             return
-        self._write_manifest(
-            {"version": STORE_VERSION, "config_hash": config_hash, "stages": {}}
+        self.write_json(
+            "manifest.json",
+            {"version": STORE_VERSION, "config_hash": config_hash, "stages": {}},
         )
 
     def read_manifest(self) -> dict:
@@ -80,13 +83,10 @@ class ModelStore:
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"corrupt store manifest: {exc}") from exc
 
-    def _write_manifest(self, manifest: dict) -> None:
-        self.write_json("manifest.json", manifest)
-
     def mark_stage(self, stage: str, config_hash: str) -> None:
         manifest = self.read_manifest()
         manifest["stages"][stage] = {"config_hash": config_hash}
-        self._write_manifest(manifest)
+        self.write_json("manifest.json", manifest)
 
     def require_upstream(
         self, stages, config_hash: str, force: bool = False

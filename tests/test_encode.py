@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import re
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conceptbank import encode
+from conceptbank.cli import main
+from conceptbank.config import PipelineConfig
 from conceptbank.encode import (
     ASSIGN_ROWS,
     PYRAMID_BLOCKS,
@@ -26,6 +29,7 @@ from conceptbank.encode import (
 )
 from conceptbank.errors import DataFormatError, PreconditionError
 from conceptbank.formats import write_cbfv
+from conceptbank.pipeline import run_stage
 
 
 def test_codebook_recovers_separated_clusters():
@@ -256,6 +260,42 @@ def test_encode_paths_skips_unloadable_images(tmp_path):
         assert np.array_equal(row, encode_from_path(path, books).vectors["g"])
     kept, skipped, matrices = encode_paths(paths[1:2], books)
     assert kept == [] and len(skipped) == 1 and matrices["g"].size == 0
+
+
+def test_encode_paths_reports_empty_or_wrong_dim_descriptor_files(tmp_path):
+    rng = np.random.default_rng(6)
+    books = {"g": Codebook("g", rng.normal(size=(4, 3)), 0, 1.0)}
+    paths = [tmp_path / f"im-{i}" for i in range(3)]
+    write_cbfv(f"{paths[0]}.g.cbfv", rng.uniform(5, 35, size=(9, 2)), rng.normal(size=(9, 3)))
+    write_cbfv(f"{paths[1]}.g.cbfv", np.zeros((0, 2)), np.zeros((0, 3)))
+    write_cbfv(f"{paths[2]}.g.cbfv", rng.uniform(5, 35, size=(9, 2)), rng.normal(size=(9, 5)))
+    kept, skipped, matrices = encode_paths(paths, books)
+    assert kept == paths[:1]
+    assert [p for p, _ in skipped] == paths[1:]
+    for path, exc in skipped:
+        assert isinstance(exc, DataFormatError) and f"{path}.g.cbfv" in str(exc)
+    assert matrices["g"].shape == (1, PYRAMID_BLOCKS * 4)
+
+
+def test_malformed_descriptor_files_fail_encode_and_are_skipped_by_represent(
+    full_store, corpus_dir, tmp_path, capsys
+):
+    corpus, store = tmp_path / "corpus", tmp_path / "store"
+    shutil.copytree(corpus_dir[0], corpus)
+    shutil.copytree(full_store.root, store)
+    config = PipelineConfig.from_file(corpus / "config.json")
+    channel = config.channels[0]
+    image = corpus / (corpus / "images.tsv").read_text().splitlines()[0].split("\t")[2]
+    frame = sorted((corpus / "videos").glob(f"*/f00.{channel}.cbfv"))[0]
+    dim = load_descriptors(image, channel).vectors.shape[1]
+    for n, d in ((0, dim), (9, dim + 1)):
+        for path in (f"{image}.{channel}.cbfv", str(frame)):
+            write_cbfv(path, np.full((n, 2), 15.0), np.zeros((n, d)))
+        argv = ["encode", "--store", str(store), "--config", str(corpus / "config.json")]
+        assert main(argv) == 3
+        assert f"{image}.{channel}.cbfv" in capsys.readouterr().err
+        with pytest.warns(UserWarning, match=f"skipping frame .*{re.escape(str(frame))}"):
+            run_stage("represent", config, store)
 
 
 def test_builtin_descriptor_grid_counts():

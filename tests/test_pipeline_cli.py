@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
+from fnmatch import fnmatchcase
 
 import pytest
 
@@ -41,16 +43,87 @@ def test_store_refuses_a_different_config(corpus_config, tmp_path):
         run_stage("codebook", other, store_root)
 
 
-def test_rerunning_a_stage_rewrites_identical_bytes(corpus_config, tmp_path):
+def _snapshot(root) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _changed(before: dict[str, bytes], after: dict[str, bytes]) -> set[str]:
+    return {rel for rel in before.keys() | after.keys() if before.get(rel) != after.get(rel)}
+
+
+def test_rerunning_a_stage_rewrites_identical_bytes(full_store, corpus_config, tmp_path):
     store_root = tmp_path / "store"
-    run_all(corpus_config, store_root, stages=("ontology", "discover"))
-    before = {
-        rel: (store_root / rel).read_bytes()
-        for rel in ("ontology.json", "candidates.json")
-    }
-    run_all(corpus_config, store_root, stages=("ontology", "discover"))
-    for rel, blob in before.items():
-        assert (store_root / rel).read_bytes() == blob, rel
+    shutil.copytree(full_store.root, store_root)
+    before = _snapshot(store_root)
+    for stage in STAGES:
+        run_stage(stage, corpus_config, store_root)
+        assert not _changed(before, _snapshot(store_root)), stage
+
+
+# The files each stage alone writes, manifest.json aside.
+OWNED = {
+    "ontology": ("ontology.json",),
+    "discover": ("candidates.json",),
+    "codebook": ("codebooks/*.cbcb",),
+    "encode": ("features/*.cbfh",),
+    "select": ("selections/*.json",),
+    "verify": ("reports/visualness.json",),
+    "train": ("detectors/*.json", "detectors/*.bin"),
+    "match": ("plans/*.json",),
+    "represent": ("representations/*/*.cbvr",),
+    "retrieve": ("reports/retrieval/*.json",),
+    "detect": ("event_detectors/*", "reports/detection/*.json"),
+    "eval": ("reports/eval.json",),
+    "recount": ("reports/recount.json",),
+}
+
+
+def test_each_stage_writes_only_the_files_it_owns(corpus_config, tmp_path):
+    store_root = tmp_path / "store"
+    before: dict[str, bytes] = {}
+    for stage in STAGES:
+        run_stage(stage, corpus_config, store_root)
+        after = _snapshot(store_root)
+        changed = _changed(before, after) - {"manifest.json"}
+        strays = sorted(r for r in changed if not any(fnmatchcase(r, g) for g in OWNED[stage]))
+        assert changed and not strays, (stage, strays)
+        before = after
+    for rel in set(before) - {"manifest.json"}:
+        owners = [s for s, globs in OWNED.items() if any(fnmatchcase(rel, g) for g in globs)]
+        assert len(owners) == 1, (rel, owners)
+
+
+def _add_a_concept_leaf(tree_doc: dict) -> None:
+    """Make ontology.json look as discover and verify used to leave it."""
+    event = next(n for n in tree_doc["nodes"] if n["layer"] == "event")
+    event["children"].append("con-00000")
+    leaf = {"id": "con-00000", "name": "brush", "layer": "concept", "parent": event["id"]}
+    tree_doc["nodes"].append({**leaf, "children": []})
+
+
+def test_concept_bank_loaders_reject_malformed_json(full_store, corpus_dir, tmp_path, capsys):
+    config = corpus_dir[0] / "config.json"
+    cases = [  # (stage, file, corruption), each on a fresh copy of the full store
+        ("select", "candidates.json", lambda d: d["candidates"][0].pop("image_ids")),
+        ("train", "candidates.json", lambda d: d.pop("candidates")),
+        ("train", "candidates.json", lambda d: d["candidates"][0].update(frequency="3")),
+        ("match", "candidates.json", lambda d: d["candidates"][0]["image_ids"].append(7)),
+        ("match", "candidates.json", lambda d: d["candidates"].reverse()),
+        ("recount", "candidates.json", lambda d: d["candidates"][0].update(event_id="evt-9")),
+        ("recount", "reports/visualness.json", lambda d: d.pop(min(d))),
+        ("recount", "reports/visualness.json", lambda d: d.update({"con-9": d.pop(min(d))})),
+        ("train", "reports/visualness.json", lambda d: d[min(d)].update(concept_id="con-9")),
+        ("train", "reports/visualness.json", lambda d: d[min(d)].update(passed="yes")),
+        ("match", "ontology.json", _add_a_concept_leaf),
+    ]
+    for i, (stage, relpath, corrupt) in enumerate(cases):
+        store = tmp_path / f"store-{i}"
+        shutil.copytree(full_store.root, store)
+        doc = json.loads((store / relpath).read_text())
+        corrupt(doc)
+        (store / relpath).write_text(json.dumps(doc))
+        assert run_cli(stage, "--store", store, "--config", config) == 3, i
+        assert str(store / relpath) in capsys.readouterr().err, i
 
 
 def test_full_run_marks_every_stage(full_store, corpus_config):
