@@ -85,7 +85,6 @@ class ImageRecord:
     image_path: Path
     raw_tags: list[str]
     tokens_by_tag: list[list[str]] = field(default_factory=list)
-    feature_ref: str | None = None
 
     def canonical_tags(self) -> set[str]:
         """Set of cleansed tags (set semantics: per-image multiplicity ignored)."""

@@ -5,14 +5,18 @@ All multi-byte values are little-endian. Formats:
   CBFV  per-image, per-channel raw descriptors
         "CBFV" u32 version, u32 patch_count, u32 dim,
         then patch_count * (f32 x, f32 y, f32[dim])
-  CBFH  encoded multi-channel feature set
-        "CBFH" u32 channel_count, per channel:
-        u32 name_len, name bytes (utf-8), u32 dim, f32[dim]
+  CBFH  every image's encoded features, a table whose header lists
+        image_ids and [channel, dim] pairs; one (images x dim) block per
+        channel
   CBCB  trained codebook
         "CBCB" u32 version, u32 name_len, name bytes, u32 k, u32 dim,
         u64 train_seed, f64 soft_sigma, f32[k*dim] centers
-  CBVR  video representation
-        "CBVR" u32 header_len, JSON header bytes, f32[n] scores
+  CBVR  one split's video representations, a table whose header lists
+        split, video_ids, concept_ids and frames_used; (videos x concepts)
+
+A table is the magic, u32 header_len, a sorted-key JSON header, then the
+f32 payload; its reader checks the header's keys and types, that its ids
+are distinct and that the payload has exactly the size the header implies.
 
 PPM images (binary P6 RGB / P5 gray, maxval 255) are the only natively
 decoded raster format; everything else enters via CBFV files.
@@ -23,6 +27,7 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -60,41 +65,29 @@ def read_cbfv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     return records[:, :2].astype(np.float64), records[:, 2:].astype(np.float64)
 
 
-def write_cbfh(path: str | Path, channels: dict[str, np.ndarray]) -> None:
-    parts = [b"CBFH", struct.pack("<I", len(channels))]
-    for name, vec in channels.items():
-        raw = name.encode("utf-8")
-        vec = np.asarray(vec, dtype="<f4").ravel()
-        parts.append(struct.pack("<I", len(raw)))
-        parts.append(raw)
-        parts.append(struct.pack("<I", vec.size))
-        parts.append(vec.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+def write_cbfh(path: str | Path, image_ids: list[str], channels: dict[str, np.ndarray]) -> None:
+    """channels maps each channel to its (images x dim) rows, in image_ids order."""
+    dims = [[c, m.shape[1]] for c, m in channels.items()]
+    _write_table(path, b"CBFH", {"image_ids": list(image_ids), "channels": dims}, channels.values())
 
 
-def read_cbfh(path: str | Path) -> dict[str, np.ndarray]:
-    data = _read_bytes(path)
-    if data[:4] != b"CBFH" or len(data) < 8:
-        raise DataFormatError(f"not a CBFH file: {path}")
-    (channel_count,) = struct.unpack_from("<I", data, 4)
-    offset = 8
-    channels: dict[str, np.ndarray] = {}
-    try:
-        for _ in range(channel_count):
-            (name_len,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            name = data[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            (dim,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
-            offset += dim * 4
-            channels[name] = vec.astype(np.float64)
-    except (struct.error, ValueError):  # ValueError covers bad utf-8
-        raise DataFormatError(f"truncated or corrupt CBFH file: {path}") from None
-    if offset != len(data):
-        raise DataFormatError(f"trailing bytes in CBFH file: {path}")
-    return channels
+def read_cbfh(path: str | Path) -> tuple[list[str], dict[str, np.ndarray]]:
+    """Returns (image ids, {channel: (images x dim) float64}), in file order."""
+    header, values = _read_table(path, b"CBFH", _cbfh_size)
+    ids, channels, offset = header["image_ids"], {}, 0
+    for name, dim in header["channels"]:
+        channels[name] = values[offset : offset + len(ids) * dim].reshape(len(ids), dim)
+        offset += len(ids) * dim
+    return ids, channels
+
+
+def _cbfh_size(header: dict) -> int:
+    ids = _listed(header["image_ids"], str, "image_ids", distinct=True)
+    channels = _listed(header["channels"], list, "channels")
+    if not all(len(c) == 2 and type(c[1]) is int and c[1] >= 0 for c in channels):
+        raise TypeError("channels must be [name, dim] pairs")
+    _listed([c[0] for c in channels], str, "channel names", distinct=True)
+    return len(ids) * sum(dim for _, dim in channels)
 
 
 def write_cbcb(
@@ -138,28 +131,63 @@ def read_cbcb(path: str | Path) -> tuple[str, np.ndarray, int, float]:
 
 
 def write_cbvr(path: str | Path, header: dict, scores: np.ndarray) -> None:
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(b"CBVR")
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(np.asarray(scores, dtype="<f4").ravel().tobytes())
+    """scores is (videos x concepts), as header's video_ids and concept_ids."""
+    _write_table(path, b"CBVR", header, [scores])
 
 
 def read_cbvr(path: str | Path) -> tuple[dict, np.ndarray]:
-    data = _read_bytes(path)
-    if data[:4] != b"CBVR" or len(data) < 8:
-        raise DataFormatError(f"not a CBVR file: {path}")
+    """Returns (header, (videos x concepts) float64 scores)."""
+    header, values = _read_table(path, b"CBVR", _cbvr_size)
+    return header, values.reshape(len(header["video_ids"]), len(header["concept_ids"]))
+
+
+def _cbvr_size(header: dict) -> int:
+    videos = _listed(header["video_ids"], str, "video_ids", distinct=True)
+    frames = _listed(header["frames_used"], int, "frames_used")
+    if type(header["split"]) is not str:
+        raise TypeError("split must be a str")
+    if len(frames) != len(videos):
+        raise ValueError(f"{len(frames)} frames_used for {len(videos)} videos")
+    return len(videos) * len(_listed(header["concept_ids"], str, "concept_ids"))
+
+
+def _listed(value, kind: type, key: str, distinct: bool = False) -> list:
+    if type(value) is not list or not all(type(v) is kind for v in value):
+        raise TypeError(f"{key} must be a list of {kind.__name__}")
+    if distinct and len(set(value)) != len(value):
+        raise ValueError(f"repeated id in {key}")
+    return value
+
+
+def _write_table(path: str | Path, magic: bytes, header: dict, blocks) -> None:
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    parts = [magic, struct.pack("<I", len(raw)), raw]
+    parts += [np.asarray(b, dtype="<f4").tobytes() for b in blocks]
+    Path(path).write_bytes(b"".join(parts))
+
+
+def _read_table(
+    path: str | Path, magic: bytes, size: Callable[[dict], int]
+) -> tuple[dict, np.ndarray]:
+    """(header, float64 payload) of a table file. size(header) checks the
+    header, raising KeyError, TypeError or ValueError, and returns the
+    payload's value count."""
+    data, kind = _read_bytes(path), magic.decode()
+    if data[:4] != magic or len(data) < 8:
+        raise DataFormatError(f"not a {kind} file: {path}")
     (header_len,) = struct.unpack_from("<I", data, 4)
     try:
         header = json.loads(data[8 : 8 + header_len].decode("utf-8"))
-        n = len(header["concept_ids"])
-    except (ValueError, KeyError, TypeError):  # ValueError covers bad JSON
-        raise DataFormatError(f"bad CBVR header: {path}") from None
+        if type(header) is not dict:
+            raise TypeError("not a JSON object")
+        n = size(header)
+    except KeyError as exc:
+        raise DataFormatError(f"bad {kind} header, no key {exc}: {path}") from None
+    except (TypeError, ValueError) as exc:  # ValueError covers bad JSON
+        raise DataFormatError(f"bad {kind} header, {exc}: {path}") from None
     if len(data) != 8 + header_len + 4 * n:
-        raise DataFormatError(f"CBVR file is not {n} scores: {path}")
-    scores = np.frombuffer(data, dtype="<f4", offset=8 + header_len)
-    return header, scores.astype(np.float64)
+        raise DataFormatError(f"{kind} file is not {n} values: {path}")
+    return header, np.frombuffer(data, dtype="<f4", offset=8 + header_len).astype(np.float64)
 
 
 def write_ppm(path: str | Path, pixels: np.ndarray) -> None:

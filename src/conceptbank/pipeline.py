@@ -94,20 +94,26 @@ def _codebooks(store: ModelStore, config: PipelineConfig) -> dict[str, encode.Co
     return books
 
 
-def _feature_set(store: ModelStore, image_id: str) -> encode.FeatureSet:
-    path = store.path("features", f"{image_id}.cbfh")
-    if not path.exists():
-        raise PreconditionError(f"image {image_id} not encoded yet")
-    return encode.FeatureSet(vectors=read_cbfh(path))
+def _features(store: ModelStore) -> Callable[[Sequence[str]], dict[str, np.ndarray]]:
+    """Reads features.cbfh once; returns the map from image ids to their
+    stacked rows, {channel: (ids x dim)}."""
+    path = store.path("features.cbfh")
+    ids, channels = read_cbfh(path)
+    row = {image_id: r for r, image_id in enumerate(ids)}
+
+    def rows(image_ids: Sequence[str]) -> dict[str, np.ndarray]:
+        try:
+            index = [row[i] for i in image_ids]
+        except KeyError as exc:
+            raise DataFormatError(f"{path} has no features for image {exc}") from None
+        return {ch: m[index] for ch, m in channels.items()}
+
+    return rows
 
 
 def _plan(store: ModelStore, event_id: str) -> semmatch.QueryPlan:
     relpath = f"plans/{event_id}.json"
     return semmatch.plan_from_dict(store.read_json(relpath), source=str(store.path(relpath)))
-
-
-def _stack(features: list[encode.FeatureSet], channels) -> dict[str, np.ndarray]:
-    return {ch: np.stack([f.vectors[ch] for f in features]) for ch in channels}
 
 
 def _checked(store: ModelStore, relpath: str, entries, keys: dict[str, type]) -> list[dict]:
@@ -158,23 +164,14 @@ def _concept_tree(store: ModelStore) -> ConceptBankTree:
 
 
 def _load_reps(store: ModelStore, split: str) -> list[videorep.VideoRepresentation]:
-    root = store.path("representations", split)
-    if not root.is_dir():
+    path = store.path("representations", f"{split}.cbvr")
+    header, scores = read_cbvr(path) if path.exists() else ({"video_ids": []}, None)
+    if not header["video_ids"]:
         raise PreconditionError(f"no representations for split {split}")
-    reps = []
-    for path in sorted(root.glob("*.cbvr")):
-        header, scores = read_cbvr(path)
-        reps.append(
-            videorep.VideoRepresentation(
-                video_id=header["video_id"],
-                concept_ids=list(header["concept_ids"]),
-                scores=scores,
-                frames_used=int(header["frames_used"]),
-            )
-        )
-    if not reps:
-        raise PreconditionError(f"no representations for split {split}")
-    return reps
+    return [
+        videorep.VideoRepresentation(video_id, header["concept_ids"], row, frames)
+        for video_id, row, frames in zip(header["video_ids"], scores, header["frames_used"])
+    ]
 
 
 def _video_labels(
@@ -238,6 +235,13 @@ def _stage_codebook(config: PipelineConfig, store: ModelStore, workers: int) -> 
             records,
             workers,
         )
+        dims = [b.vectors.shape[1] for b in blocks]
+        for record, dim in zip(records, dims):
+            if dim != dims[0]:
+                raise DataFormatError(
+                    f"{record.image_path}.{channel}.cbfv: descriptor dim {dim}, "
+                    f"but {records[0].image_path}.{channel}.cbfv has {dims[0]}"
+                )
         data = np.vstack([b.vectors for b in blocks])
         if data.shape[0] > config.max_codebook_descriptors:
             rng = np.random.default_rng(seed0 + ci)
@@ -272,36 +276,31 @@ def _stage_encode(config: PipelineConfig, store: ModelStore, workers: int) -> di
     records = _records(config, tree, lexicon)
     books = _codebooks(store, config)
 
-    def job(chunk: list[corpus.ImageRecord]) -> int:
+    def job(chunk: list[corpus.ImageRecord]) -> dict[str, np.ndarray]:
         _, bad, mats = encode.encode_paths([r.image_path for r in chunk], books, config.soft_k)
         if bad:
             raise bad[0][1]  # a bad corpus image fails the stage
-        for i, record in enumerate(chunk):
-            write_cbfh(store.path("features", f"{record.image_id}.cbfh"), {c: m[i] for c, m in mats.items()})
-        return next(iter(mats.values())).shape[1]
+        return mats
 
     chunks = [records[i : i + ENCODE_CHUNK] for i in range(0, len(records), ENCODE_CHUNK)]
-    dims = _pmap(job, chunks, workers)
-    return {"images": len(records), "dims_per_channel": dims[0] if dims else 0}
+    parts = _pmap(job, chunks, workers)
+    mats = {ch: np.concatenate([part[ch] for part in parts]) for ch in books}
+    write_cbfh(store.path("features.cbfh"), [r.image_id for r in records], mats)
+    return {"images": len(records), "dims_per_channel": next(iter(mats.values())).shape[1]}
 
 
-def _build_pools(
-    candidates: list[dict], features: dict[str, encode.FeatureSet]
-) -> dict[str, select.ConceptImagePool]:
+def _build_pools(candidates: list[dict], features: Callable) -> dict[str, select.ConceptImagePool]:
     pools = {}
     for cand in candidates:
-        pools[cand["concept_id"]] = select.ConceptImagePool(
-            concept_id=cand["concept_id"],
-            members=[(i, features[i]) for i in cand["image_ids"]],
-        )
+        ids, mats = cand["image_ids"], features(cand["image_ids"])
+        fs = [encode.FeatureSet({ch: m[j] for ch, m in mats.items()}) for j in range(len(ids))]
+        pools[cand["concept_id"]] = select.ConceptImagePool(cand["concept_id"], list(zip(ids, fs)))
     return pools
 
 
 def _stage_select(config: PipelineConfig, store: ModelStore, workers: int) -> dict:
     candidates = sorted(_candidates(store), key=lambda c: c["concept_id"])
-    image_ids = sorted({i for c in candidates for i in c["image_ids"]})
-    features = {i: _feature_set(store, i) for i in image_ids}
-    pools = _build_pools(candidates, features)
+    pools = _build_pools(candidates, _features(store))
     seed0 = config.seed_for("selection")
 
     def job(item: tuple[int, dict]) -> tuple[str, int]:
@@ -344,7 +343,7 @@ def _stage_verify(config: PipelineConfig, store: ModelStore, workers: int) -> di
     lexicon = _lexicon(config)
     records = _records(config, tree, lexicon)
     candidates = sorted(_candidates(store), key=lambda c: c["concept_id"])
-    features = {r.image_id: _feature_set(store, r.image_id) for r in records}
+    features = _features(store)
     seed0 = config.seed_for("verify")
 
     def job(item: tuple[int, dict]) -> detect.VisualnessReport:
@@ -366,8 +365,8 @@ def _stage_verify(config: PipelineConfig, store: ModelStore, workers: int) -> di
             )
         return detect.verify_visualness(
             cid,
-            _stack([features[i] for i in pos_ids], config.channels),
-            _stack([features[i] for i in neg_ids], config.channels),
+            features(pos_ids),
+            features(neg_ids),
             seed=seed0 + idx,
             C=config.C,
             gamma=config.gamma,
@@ -388,6 +387,7 @@ def _stage_verify(config: PipelineConfig, store: ModelStore, workers: int) -> di
 
 def _stage_train(config: PipelineConfig, store: ModelStore, workers: int) -> dict:
     leaves = sorted(_concept_tree(store).concept_leaves(), key=lambda n: n.id)
+    features = _features(store)
     seed0 = config.seed_for("train")
 
     def job(item: tuple[int, object]) -> tuple[str, dict]:
@@ -407,7 +407,7 @@ def _stage_train(config: PipelineConfig, store: ModelStore, workers: int) -> dic
         tr_n, ho_n = _holdout_split(neg_ids, config.calibration_holdout, rng)
         train_ids = tr_p + tr_n
         labels = np.array([1.0] * len(tr_p) + [-1.0] * len(tr_n))
-        feats = _stack([_feature_set(store, i) for i in train_ids], config.channels)
+        feats = features(train_ids)
         kernels = {ch: detect.KernelSpec("linear") for ch in config.channels}
         gram = [
             detect.compute_kernel(feats[ch], feats[ch], kernels[ch])
@@ -426,8 +426,7 @@ def _stage_train(config: PipelineConfig, store: ModelStore, workers: int) -> dic
         model = detect.train_mklsvm(problem, concept_id=leaf.id)
         ho_ids = ho_p + ho_n
         ho_labels = np.array([1.0] * len(ho_p) + [-1.0] * len(ho_n))
-        ho_feats = _stack([_feature_set(store, i) for i in ho_ids], config.channels)
-        detect.calibrate(model, model.raw_score_matrix(ho_feats), ho_labels)
+        detect.calibrate(model, model.raw_score_matrix(features(ho_ids)), ho_labels)
         store.save_detector(model)
         return leaf.id, {
             "support_vectors": int(model.alpha.size),
@@ -491,25 +490,17 @@ def _stage_represent(config: PipelineConfig, store: ModelStore, workers: int) ->
         if not manifest.exists():
             report[split] = 0
             continue
-        entries = videorep.load_video_manifest(manifest)
-        out_dir = store.path("representations", split)
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-        def job(entry: videorep.VideoManifestEntry, split=split) -> str:
-            rep = videorep.represent(
-                entry, layout, detectors, encoder, m=config.m_frames
-            )
-            header = rep.header()
-            header["split"] = split
-            write_cbvr(
-                store.path("representations", split, f"{rep.video_id}.cbvr"),
-                header,
-                rep.scores,
-            )
-            return rep.video_id
-
-        done = _pmap(job, entries, workers)
-        report[split] = len(done)
+        reps = _pmap(
+            lambda entry: videorep.represent(entry, layout, detectors, encoder, m=config.m_frames),
+            videorep.load_video_manifest(manifest),
+            workers,
+        )
+        reps.sort(key=lambda rep: rep.video_id)
+        ids, frames = [rep.video_id for rep in reps], [rep.frames_used for rep in reps]
+        header = {"split": split, "video_ids": ids, "concept_ids": layout, "frames_used": frames}
+        scores = np.array([rep.scores for rep in reps])
+        write_cbvr(store.path("representations", f"{split}.cbvr"), header, scores)
+        report[split] = len(reps)
     if not any(report.values()):
         raise PreconditionError("no video manifests found to represent")
     return {"videos": report, "layout_len": len(layout)}

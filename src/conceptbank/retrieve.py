@@ -16,6 +16,7 @@ scores.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -219,35 +220,24 @@ def train_event_detector(
         best = None  # (ap, -grid_pos) maximized
         best_params = (1.0, 1.0)
         best_cv = (np.zeros(0), np.zeros(0))
-        grid_pos = 0
-        for c in C_grid:
-            for scale in bandwidth_scales:
-                spec = KernelSpec("chi2", bandwidth=base_bw * scale)
-                cv_scores = np.empty(y.size)
-                ok = True
-                for tr_idx, te_idx in ((fold_a, fold_b), (fold_b, fold_a)):
-                    tr_y = y[tr_idx]
-                    if not (np.any(tr_y > 0) and np.any(tr_y < 0)):
-                        ok = False
-                        break
-                    gram = compute_kernel(x[tr_idx], x[tr_idx], spec)
-                    problem = DetectorTrainingProblem(
-                        gram=[gram], labels=tr_y, C=c, gamma=gamma,
-                        channels=["rep"], features={"rep": x[tr_idx]},
-                        kernels={"rep": spec},
-                    )
-                    model = train_mklsvm(problem, tol=tol, concept_id=event_id)
-                    cv_scores[te_idx] = model.raw_score_matrix({"rep": x[te_idx]})
-                if not ok:
-                    grid_pos += 1
-                    continue
-                ap = ap_from_arrays(cv_scores, y > 0)
-                key = (ap, -grid_pos)
-                if best is None or key > best:
-                    best = key
-                    best_params = (c, scale)
-                    best_cv = (cv_scores.copy(), y.copy())
-                grid_pos += 1
+        for grid_pos, (c, scale) in enumerate(itertools.product(C_grid, bandwidth_scales)):
+            spec = KernelSpec("chi2", bandwidth=base_bw * scale)
+            cv_scores = np.empty(y.size)
+            for tr_idx, te_idx in ((fold_a, fold_b), (fold_b, fold_a)):
+                gram = compute_kernel(x[tr_idx], x[tr_idx], spec)
+                problem = DetectorTrainingProblem(
+                    gram=[gram], labels=y[tr_idx], C=c, gamma=gamma,
+                    channels=["rep"], features={"rep": x[tr_idx]},
+                    kernels={"rep": spec},
+                )
+                model = train_mklsvm(problem, tol=tol, concept_id=event_id)
+                cv_scores[te_idx] = model.raw_score_matrix({"rep": x[te_idx]})
+            ap = ap_from_arrays(cv_scores, y > 0)
+            key = (ap, -grid_pos)
+            if best is None or key > best:
+                best = key
+                best_params = (c, scale)
+                best_cv = (cv_scores.copy(), y.copy())
         c_sel, scale_sel = best_params
         cv_ap = best[0] if best is not None else 0.0
     else:

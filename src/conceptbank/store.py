@@ -6,12 +6,12 @@ Layout under the root:
     ontology.json          the event hierarchy, written once (no concepts)
     candidates.json        discovered candidate concepts, with their ids
     codebooks/             one CBCB file per channel
-    features/              one CBFH file per manifest image
+    features.cbfh          every manifest image's encoded features
     selections/            per-concept training-set choices (JSON)
     detectors/             concept detectors (JSON header + f32 .bin)
     event_detectors/       supervised event models, same scheme
     plans/                 per-event query plans (JSON)
-    representations/       per-split CBVR files
+    representations/       one CBVR file per split
     reports/               visualness, retrieval, detection, eval, recount
 
 Each file has one writing stage. The concept bank is not a file: it is
@@ -37,7 +37,6 @@ from .retrieve import EventDetector
 STORE_VERSION = 1
 _DIRS = (
     "codebooks",
-    "features",
     "selections",
     "detectors",
     "event_detectors",

@@ -48,13 +48,6 @@ class VideoRepresentation:
                 f"{len(self.concept_ids)} concepts"
             )
 
-    def header(self) -> dict:
-        return {
-            "video_id": self.video_id,
-            "concept_ids": list(self.concept_ids),
-            "frames_used": self.frames_used,
-        }
-
 
 def sample_frames(frames: Sequence, m: int = 20) -> list:
     """Evenly sample m of F frames, endpoints pinned to the first and

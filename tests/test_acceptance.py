@@ -396,10 +396,8 @@ def test_criterion_07_visualness_gate(capsys):
 
 
 def _test_reps(store_root: Path):
-    reps = []
-    for path in sorted((store_root / "representations" / "test").glob("*.cbvr")):
-        header, scores = read_cbvr(path)
-        reps.append((header["video_id"], list(header["concept_ids"]), scores))
+    header, scores = read_cbvr(store_root / "representations" / "test.cbvr")
+    reps = [(vid, list(header["concept_ids"]), row) for vid, row in zip(header["video_ids"], scores)]
     assert reps, f"no test representations under {store_root}"
     return reps
 

@@ -298,6 +298,18 @@ def test_malformed_descriptor_files_fail_encode_and_are_skipped_by_represent(
             run_stage("represent", config, store)
 
 
+def test_codebook_stage_rejects_a_descriptor_dim_mismatch(full_store, corpus_dir, tmp_path, capsys):
+    corpus, store = tmp_path / "corpus", tmp_path / "store"
+    shutil.copytree(corpus_dir[0], corpus)
+    shutil.copytree(full_store.root, store)
+    rows = (corpus / "images.tsv").read_text().splitlines()
+    image = corpus / rows[len(rows) // 2].split("\t")[2]
+    write_cbfv(f"{image}.syn-a.cbfv", np.full((9, 2), 15.0), np.zeros((9, 7)))
+    argv = ["codebook", "--store", str(store), "--config", str(corpus / "config.json")]
+    assert main(argv) == 3
+    assert f"{image}.syn-a.cbfv" in capsys.readouterr().err
+
+
 def test_builtin_descriptor_grid_counts():
     img = np.zeros((20, 20, 3), dtype=np.uint8)
     assert builtin_descriptors(img, "gray-patch").vectors.shape == (1, 400)

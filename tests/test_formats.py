@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -56,16 +59,27 @@ def test_descriptor_file_errors(tmp_path):
 
 
 def test_feature_set_file_round_trip(tmp_path):
-    path = tmp_path / "img.cbfh"
+    path = tmp_path / "features.cbfh"
+    ids = ["img-2", "img-10", "img-1"]
     channels = {
-        "syn-a": np.linspace(0.0, 1.0, 16, dtype=np.float32).astype(np.float64),
-        "syn-b": np.zeros(8),
+        "syn-b": np.linspace(0.0, 1.0, 12, dtype=np.float32).astype(np.float64).reshape(3, 4),
+        "syn-a": np.zeros((3, 2)),
     }
-    write_cbfh(path, channels)
-    got = read_cbfh(path)
-    assert list(got) == ["syn-a", "syn-b"]  # insertion order preserved
+    write_cbfh(path, ids, channels)
+    got_ids, got = read_cbfh(path)
+    assert got_ids == ids  # row order kept, not sorted
+    assert list(got) == ["syn-b", "syn-a"]  # channel order kept
     for name in channels:
+        assert got[name].dtype == np.float64
         assert np.array_equal(got[name], channels[name])
+    write_cbfh(path, [], {"syn-a": np.zeros((0, 3))})
+    got_ids, got = read_cbfh(path)
+    assert got_ids == [] and got["syn-a"].shape == (0, 3)
+
+
+def _table(magic: bytes, header) -> bytes:
+    raw = json.dumps(header).encode("utf-8")
+    return magic + struct.pack("<I", len(raw)) + raw
 
 
 def test_feature_set_file_errors(tmp_path):
@@ -73,10 +87,35 @@ def test_feature_set_file_errors(tmp_path):
     path.write_bytes(b"XXXX\x00\x00\x00\x00")
     with pytest.raises(DataFormatError, match="not a CBFH"):
         read_cbfh(path)
-    write_cbfh(path, {"a": np.zeros(4)})
+    write_cbfh(path, ["i1"], {"a": np.zeros((1, 4))})
     path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(DataFormatError, match="trailing bytes"):
+    with pytest.raises(DataFormatError, match="not 4 values"):
         read_cbfh(path)
+    good = {"image_ids": ["i1", "i2"], "channels": [["a", 1], ["b", 2]]}
+    cases = [  # (header change, message)
+        (lambda h: h.pop("image_ids"), "no key 'image_ids'"),
+        (lambda h: h.pop("channels"), "no key 'channels'"),
+        (lambda h: h.update(image_ids="i1"), "image_ids must be a list of str"),
+        (lambda h: h.update(image_ids=["i1", 2]), "image_ids must be a list of str"),
+        (lambda h: h.update(image_ids=["i1", "i1"]), "repeated id in image_ids"),
+        (lambda h: h.update(channels={"a": 1}), "channels must be a list of list"),
+        (lambda h: h.update(channels=[["a", 1, 2]]), "channels must be \\[name, dim\\] pairs"),
+        (lambda h: h.update(channels=[["a", "1"]]), "channels must be \\[name, dim\\] pairs"),
+        (lambda h: h.update(channels=[["a", -1], ["b", 2]]), "channels must be \\[name, dim\\] pairs"),
+        (lambda h: h.update(channels=[["a", True]]), "channels must be \\[name, dim\\] pairs"),
+        (lambda h: h.update(channels=[[1, 1]]), "channel names must be a list of str"),
+        (lambda h: h.update(channels=[["a", 1], ["a", 2]]), "repeated id in channel names"),
+    ]
+    for change, message in cases:
+        header = json.loads(json.dumps(good))
+        change(header)
+        path.write_bytes(_table(b"CBFH", header) + bytes(4 * 6))
+        with pytest.raises(DataFormatError, match=f"{message}.*bad.cbfh"):
+            read_cbfh(path)
+    for header in ([], "x", 3):
+        path.write_bytes(_table(b"CBFH", header))
+        with pytest.raises(DataFormatError, match="not a JSON object"):
+            read_cbfh(path)
 
 
 def test_codebook_file_round_trip(tmp_path):
@@ -104,16 +143,49 @@ def test_codebook_file_errors(tmp_path):
 
 
 def test_video_representation_round_trip(tmp_path):
-    path = tmp_path / "vid.cbvr"
-    header = {"video_id": "vid-7", "concept_ids": ["c2", "c1"], "frames_used": 3}
-    scores = np.array([0.25, 0.5], dtype=np.float32).astype(np.float64)
+    path = tmp_path / "test.cbvr"
+    header = {
+        "split": "test",
+        "video_ids": ["vid-1", "vid-7", "vid-9"],
+        "concept_ids": ["c2", "c1", "c2"],  # a layout may repeat a concept
+        "frames_used": [3, 4, 1],
+    }
+    scores = np.arange(9, dtype=np.float32).reshape(3, 3).astype(np.float64) / 8
     write_cbvr(path, header, scores)
     got_header, got_scores = read_cbvr(path)
     assert got_header == header
+    assert got_scores.dtype == np.float64
     assert np.array_equal(got_scores, scores)
+    write_cbvr(path, dict(header, video_ids=[], frames_used=[]), np.zeros((0, 3)))
+    assert read_cbvr(path)[1].shape == (0, 3)
     path.write_bytes(b"VRRR")
     with pytest.raises(DataFormatError, match="not a CBVR"):
         read_cbvr(path)
+
+
+def test_video_representation_header_errors(tmp_path):
+    path = tmp_path / "bad.cbvr"
+    good = {"split": "test", "video_ids": ["v1", "v2"], "concept_ids": ["c1"], "frames_used": [2, 2]}
+    cases = [  # (header change, message)
+        (lambda h: h.pop("split"), "no key 'split'"),
+        (lambda h: h.pop("video_ids"), "no key 'video_ids'"),
+        (lambda h: h.pop("concept_ids"), "no key 'concept_ids'"),
+        (lambda h: h.pop("frames_used"), "no key 'frames_used'"),
+        (lambda h: h.update(split=1), "split must be a str"),
+        (lambda h: h.update(video_ids=["v1", None]), "video_ids must be a list of str"),
+        (lambda h: h.update(video_ids=["v1", "v1"]), "repeated id in video_ids"),
+        (lambda h: h.update(concept_ids="c1"), "concept_ids must be a list of str"),
+        (lambda h: h.update(frames_used=2), "frames_used must be a list of int"),
+        (lambda h: h.update(frames_used=[2, 2.0]), "frames_used must be a list of int"),
+        (lambda h: h.update(frames_used=[2]), "1 frames_used for 2 videos"),
+        (lambda h: h.update(frames_used=[2, 2, 2]), "3 frames_used for 2 videos"),
+    ]
+    for change, message in cases:
+        header = json.loads(json.dumps(good))
+        change(header)
+        path.write_bytes(_table(b"CBVR", header) + bytes(4 * 2))
+        with pytest.raises(DataFormatError, match=f"{message}.*bad.cbvr"):
+            read_cbvr(path)
 
 
 WRITERS = {
@@ -121,12 +193,16 @@ WRITERS = {
         lambda p: write_cbfv(p, np.zeros((2, 2)), np.ones((2, 3))), read_cbfv
     ),
     "cbfh": (
-        lambda p: write_cbfh(p, {"syn-a": np.ones(3), "syn-b": np.zeros(2)}),
+        lambda p: write_cbfh(p, ["i1", "i2"], {"syn-a": np.ones((2, 3)), "syn-b": np.zeros((2, 2))}),
         read_cbfh,
     ),
     "cbcb": (lambda p: write_cbcb(p, "syn-a", np.ones((2, 3)), 7, 0.5), read_cbcb),
     "cbvr": (
-        lambda p: write_cbvr(p, {"concept_ids": ["c1", "c2"]}, np.ones(2)),
+        lambda p: write_cbvr(
+            p,
+            {"split": "test", "video_ids": ["v1", "v2"], "concept_ids": ["c1", "c2"], "frames_used": [1, 2]},
+            np.ones((2, 2)),
+        ),
         read_cbvr,
     ),
 }

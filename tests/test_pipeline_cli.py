@@ -9,6 +9,7 @@ import pytest
 
 from conceptbank.cli import main
 from conceptbank.errors import PreconditionError
+from conceptbank.formats import read_cbfh, write_cbfh
 from conceptbank.pipeline import STAGES, run_all, run_stage
 
 
@@ -65,12 +66,12 @@ OWNED = {
     "ontology": ("ontology.json",),
     "discover": ("candidates.json",),
     "codebook": ("codebooks/*.cbcb",),
-    "encode": ("features/*.cbfh",),
+    "encode": ("features.cbfh",),
     "select": ("selections/*.json",),
     "verify": ("reports/visualness.json",),
     "train": ("detectors/*.json", "detectors/*.bin"),
     "match": ("plans/*.json",),
-    "represent": ("representations/*/*.cbvr",),
+    "represent": ("representations/*.cbvr",),
     "retrieve": ("reports/retrieval/*.json",),
     "detect": ("event_detectors/*", "reports/detection/*.json"),
     "eval": ("reports/eval.json",),
@@ -124,6 +125,26 @@ def test_concept_bank_loaders_reject_malformed_json(full_store, corpus_dir, tmp_
         (store / relpath).write_text(json.dumps(doc))
         assert run_cli(stage, "--store", store, "--config", config) == 3, i
         assert str(store / relpath) in capsys.readouterr().err, i
+
+
+def _drop_the_last_image(path) -> None:
+    ids, channels = read_cbfh(path)
+    write_cbfh(path, ids[:-1], {ch: m[:-1] for ch, m in channels.items()})
+
+
+def test_feature_table_loader_rejects_a_corrupt_features_file(full_store, corpus_dir, tmp_path, capsys):
+    config = corpus_dir[0] / "config.json"
+    cases = [  # each on a fresh copy of the full store
+        lambda p: p.write_bytes(p.read_bytes()[:-4]),
+        lambda p: p.write_bytes(p.read_bytes().replace(b'"image_ids"', b'"image_idz"', 1)),
+        _drop_the_last_image,  # a selected or verified image without features
+    ]
+    for i, corrupt in enumerate(cases):
+        store = tmp_path / f"store-{i}"
+        shutil.copytree(full_store.root, store)
+        corrupt(store / "features.cbfh")
+        assert run_cli("verify", "--store", store, "--config", config) == 3, i
+        assert str(store / "features.cbfh") in capsys.readouterr().err, i
 
 
 def test_full_run_marks_every_stage(full_store, corpus_config):
