@@ -20,14 +20,19 @@ simplex, accepting only steps that lower the inner optimum. The tracked
 objective is therefore non-increasing.
 
 Raw margins are mapped to probabilities by a Platt sigmoid fitted on
-held-out scores. verify_visualness() runs the 2-fold cross-validation
-gate that weeds out concepts whose images are not visually coherent.
+held-out scores. A linear detector folds into one primal weight vector
+per channel; a DetectorBank stacks those of many concepts, so one
+product per channel scores them all. Only the chi2 event detector still
+scores through its support vectors. verify_visualness() runs the 2-fold
+cross-validation gate that weeds out concepts whose images are not
+visually coherent.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -159,12 +164,23 @@ class DetectorModel:
     objective: float = field(default=0.0, compare=False)
     history: list[float] = field(default_factory=list, compare=False)
 
+    def weights(self) -> dict[str, np.ndarray]:
+        """A linear model folded into one primal weight vector per channel,
+        w_m = beta_m X_sv,m' (alpha o y)."""
+        if any(self.kernels[c].kind != "linear" for c in self.channels):
+            raise PreconditionError(f"{self.concept_id}: only linear kernels fold into weights")
+        coef = self.alpha * self.support_labels
+        return {
+            c: b * (self.support_features[c].T @ coef) for b, c in zip(self.beta, self.channels)
+        }
+
     def raw_score_matrix(self, features: dict[str, np.ndarray]) -> np.ndarray:
         """Uncalibrated margins for a batch; features maps channel ->
-        (n, d_m) matrix in model channel order."""
-        missing = [c for c in self.channels if c not in features]
-        if missing:
-            raise PreconditionError(f"missing channels for scoring: {missing}")
+        (n, d_m) matrix in model channel order. A linear model scores
+        through its folded weights; others expand over support vectors."""
+        if all(self.kernels[c].kind == "linear" for c in self.channels):
+            return _linear_scores(features, self.weights(), self.bias)
+        _check_channels(features, self.channels)
         n = next(iter(features.values())).shape[0]
         mixed = np.zeros((n, self.alpha.size), dtype=np.float64)
         for w, channel in zip(self.beta, self.channels):
@@ -179,6 +195,84 @@ class DetectorModel:
     def calibrated(self, raw: np.ndarray | float) -> np.ndarray | float:
         a, b = self.platt
         return 1.0 / (1.0 + np.exp(a * np.asarray(raw, dtype=np.float64) + b))
+
+
+def _check_channels(features: dict[str, np.ndarray], channels) -> None:
+    missing = [c for c in channels if c not in features]
+    if missing:
+        raise PreconditionError(f"missing channels for scoring: {missing}")
+
+
+def _linear_scores(
+    features: dict[str, np.ndarray], weights: dict[str, np.ndarray], bias
+) -> np.ndarray:
+    """sum_m features[m] @ weights[m] + bias: the margins of linear
+    detectors folded into weights, a (d_m,) vector per channel for one
+    detector or a (d_m, concepts) matrix for a bank."""
+    _check_channels(features, weights)
+    return sum(features[c] @ w for c, w in weights.items()) + bias
+
+
+@dataclass
+class DetectorBank:
+    """Linear concept detectors as one weight matrix per channel: column k
+    of weights[m] is concept k's w_m, rounded through f32 (the stored
+    precision), so a batch of n rows scores all concepts with one
+    (n, d_m) @ (d_m, concepts) product per channel."""
+
+    concept_ids: list[str]
+    weights: dict[str, np.ndarray]  # channel -> (d_m, concepts)
+    bias: np.ndarray  # (concepts,)
+    platt: np.ndarray  # (2, concepts): Platt A and B
+
+    @classmethod
+    def fold(cls, model: DetectorModel) -> "DetectorBank":
+        """One linear model as a one-concept bank."""
+        return cls(
+            concept_ids=[model.concept_id],
+            weights={
+                c: w.astype(np.float32).astype(np.float64)[:, None]
+                for c, w in model.weights().items()
+            },
+            bias=np.array([model.bias], dtype=np.float64),
+            platt=np.array(model.platt, dtype=np.float64).reshape(2, 1),
+        )
+
+    @classmethod
+    def concat(cls, banks: Sequence["DetectorBank"]) -> "DetectorBank":
+        return cls(
+            concept_ids=[cid for b in banks for cid in b.concept_ids],
+            weights={
+                c: np.concatenate([b.weights[c] for b in banks], axis=1) for c in banks[0].weights
+            },
+            bias=np.concatenate([b.bias for b in banks]),
+            platt=np.concatenate([b.platt for b in banks], axis=1),
+        )
+
+    def columns(self, concept_ids: Sequence[str]) -> list[int]:
+        col = {cid: k for k, cid in enumerate(self.concept_ids)}
+        missing = [c for c in concept_ids if c not in col]
+        if missing:
+            raise PreconditionError(f"no trained detector for: {missing[:5]}")
+        return [col[c] for c in concept_ids]
+
+    def take(self, concept_ids: Sequence[str]) -> "DetectorBank":
+        """The bank of just these concepts, in this order."""
+        cols = self.columns(concept_ids)
+        return DetectorBank(
+            concept_ids=list(concept_ids),
+            weights={c: np.ascontiguousarray(w[:, cols]) for c, w in self.weights.items()},
+            bias=self.bias[cols],
+            platt=self.platt[:, cols],
+        )
+
+    def raw_scores(self, features: dict[str, np.ndarray]) -> np.ndarray:
+        """(n, concepts) margins for n rows of features."""
+        return _linear_scores(features, self.weights, self.bias)
+
+    def calibrated(self, raw: np.ndarray) -> np.ndarray:
+        """Each column's Platt sigmoid, as DetectorModel.calibrated."""
+        return 1.0 / (1.0 + np.exp(self.platt[0] * raw + self.platt[1]))
 
 
 @dataclass
@@ -421,15 +515,6 @@ def fit_platt(
         else:
             break
     return a, b
-
-
-def calibrate(
-    model: DetectorModel, scores: np.ndarray, labels: np.ndarray
-) -> DetectorModel:
-    """Fit Platt parameters on held-out (raw score, label) pairs and
-    attach them to the model in place."""
-    model.platt = fit_platt(scores, labels)
-    return model
 
 
 def verify_visualness(

@@ -13,6 +13,10 @@ All multi-byte values are little-endian. Formats:
         u64 train_seed, f64 soft_sigma, f32[k*dim] centers
   CBVR  one split's video representations, a table whose header lists
         split, video_ids, concept_ids and frames_used; (videos x concepts)
+  CBDT  the linear concept detectors folded into weights, a table whose
+        header lists sorted concept_ids, [channel, dim] pairs and, per
+        concept, bias, platt [A, B] and beta (one weight per channel); one
+        (concepts x dim) block per channel
 
 A table is the magic, u32 header_len, a sorted-key JSON header, then the
 f32 payload; its reader checks the header's keys and types, that its ids
@@ -74,20 +78,56 @@ def write_cbfh(path: str | Path, image_ids: list[str], channels: dict[str, np.nd
 def read_cbfh(path: str | Path) -> tuple[list[str], dict[str, np.ndarray]]:
     """Returns (image ids, {channel: (images x dim) float64}), in file order."""
     header, values = _read_table(path, b"CBFH", _cbfh_size)
-    ids, channels, offset = header["image_ids"], {}, 0
-    for name, dim in header["channels"]:
-        channels[name] = values[offset : offset + len(ids) * dim].reshape(len(ids), dim)
-        offset += len(ids) * dim
-    return ids, channels
+    return header["image_ids"], _channel_blocks(header, values, len(header["image_ids"]))
 
 
 def _cbfh_size(header: dict) -> int:
     ids = _listed(header["image_ids"], str, "image_ids", distinct=True)
+    return len(ids) * sum(_channel_dims(header))
+
+
+def _channel_blocks(header: dict, values: np.ndarray, rows: int) -> dict[str, np.ndarray]:
+    """The payload split into one (rows x dim) block per header channel."""
+    blocks, offset = {}, 0
+    for name, dim in header["channels"]:
+        blocks[name] = values[offset : offset + rows * dim].reshape(rows, dim)
+        offset += rows * dim
+    return blocks
+
+
+def _channel_dims(header: dict) -> list[int]:
     channels = _listed(header["channels"], list, "channels")
     if not all(len(c) == 2 and type(c[1]) is int and c[1] >= 0 for c in channels):
         raise TypeError("channels must be [name, dim] pairs")
     _listed([c[0] for c in channels], str, "channel names", distinct=True)
-    return len(ids) * sum(dim for _, dim in channels)
+    return [dim for _, dim in channels]
+
+
+def write_cbdt(path: str | Path, header: dict, weights: dict[str, np.ndarray]) -> None:
+    """header holds concept_ids, bias, platt and beta; weights maps each
+    channel to its (concepts x dim) rows, in concept_ids order."""
+    dims = [[c, w.shape[1]] for c, w in weights.items()]
+    _write_table(path, b"CBDT", {**header, "channels": dims}, weights.values())
+
+
+def read_cbdt(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Returns (header, {channel: (concepts x dim) float64}), in file order."""
+    header, values = _read_table(path, b"CBDT", _cbdt_size)
+    return header, _channel_blocks(header, values, len(header["concept_ids"]))
+
+
+def _cbdt_size(header: dict) -> int:
+    n = len(_listed(header["concept_ids"], str, "concept_ids", distinct=True))
+    dims = _channel_dims(header)
+    per_concept = {"bias": _listed(header["bias"], float, "bias")}
+    for key, width in (("platt", 2), ("beta", len(dims))):
+        per_concept[key] = _listed(header[key], list, key)
+        if not all(len(_listed(row, float, key)) == width for row in per_concept[key]):
+            raise ValueError(f"{key} rows must hold {width} floats")
+    for key, values in per_concept.items():
+        if len(values) != n:
+            raise ValueError(f"{len(values)} {key} entries for {n} concepts")
+    return n * sum(dims)
 
 
 def write_cbcb(

@@ -27,7 +27,9 @@ import numpy as np
 from . import corpus, detect, encode, select, semmatch, videorep
 from .config import PipelineConfig
 from .errors import ConceptBankError, DataFormatError, PreconditionError
-from .formats import read_cbcb, read_cbfh, read_cbvr, write_cbcb, write_cbfh, write_cbvr
+from .formats import (
+    read_cbcb, read_cbdt, read_cbfh, read_cbvr, write_cbcb, write_cbdt, write_cbfh, write_cbvr,
+)
 from .metrics import LabeledRanking, average_precision
 from .ontology import ConceptBankTree, load_hierarchy
 from .retrieve import detect_events, train_event_detector, zero_shot_retrieve
@@ -116,24 +118,11 @@ def _plan(store: ModelStore, event_id: str) -> semmatch.QueryPlan:
     return semmatch.plan_from_dict(store.read_json(relpath), source=str(store.path(relpath)))
 
 
-def _checked(store: ModelStore, relpath: str, entries, keys: dict[str, type]) -> list[dict]:
-    """entries, if it is a list of dicts whose keys have exactly these types
-    and whose lists hold strings; else DataFormatError naming the file."""
-    if type(entries) is not list or not all(
-        isinstance(e, dict)
-        and all(type(e.get(k)) is t for k, t in keys.items())
-        and all(type(x) is str for k, t in keys.items() if t is list for x in e[k])
-        for e in entries
-    ):
-        raise DataFormatError(f"malformed {store.path(relpath)}: missing or wrong-typed key")
-    return entries
-
-
 def _candidates(store: ModelStore) -> list[dict]:
     doc = store.read_json("candidates.json")
     entries = doc.get("candidates") if isinstance(doc, dict) else None
     keys = {"concept_id": str, "event_id": str, "name": str, "frequency": int, "image_ids": list}
-    return _checked(store, "candidates.json", entries, keys)
+    return store.checked("candidates.json", entries, keys)
 
 
 def _concept_tree(store: ModelStore) -> ConceptBankTree:
@@ -143,7 +132,7 @@ def _concept_tree(store: ModelStore) -> ConceptBankTree:
     relpath = "reports/visualness.json"
     verdicts = store.read_json(relpath)
     keys = {"concept_id": str, "cv_ap": float, "training_image_count": int, "passed": bool}
-    _checked(store, relpath, list(verdicts.values()) if isinstance(verdicts, dict) else None, keys)
+    store.checked(relpath, list(verdicts.values()) if isinstance(verdicts, dict) else None, keys)
     pairs = sorted((cid, v["concept_id"]) for cid, v in verdicts.items())
     if pairs != [(c, c) for c in sorted(c["concept_id"] for c in candidates)]:
         raise DataFormatError(
@@ -161,6 +150,28 @@ def _concept_tree(store: ModelStore) -> ConceptBankTree:
         if not verdicts[cand["concept_id"]]["passed"]:
             tree.prune_concept(cand["concept_id"])
     return tree
+
+
+def _selection(store: ModelStore, concept_id: str) -> select.SelectionResult:
+    relpath = f"selections/{concept_id}.json"
+    keys = {"concept_id": str, "positives": (str, float), "negatives": (str, str), "seed": int}
+    (doc,) = store.checked(relpath, [store.read_json(relpath)], keys)
+    return select.SelectionResult.from_dict(doc)
+
+
+def _detector_bank(store: ModelStore, books: dict[str, encode.Codebook]) -> detect.DetectorBank:
+    """detectors.cbdt, whose channels must be the codebooks' feature dims."""
+    path = store.path("detectors.cbdt")
+    header, weights = read_cbdt(path)
+    dims = {ch: encode.PYRAMID_BLOCKS * book.k for ch, book in books.items()}
+    if {ch: w.shape[1] for ch, w in weights.items()} != dims:
+        raise DataFormatError(f"{path} has channels {header['channels']}, the codebooks give {dims}")
+    return detect.DetectorBank(
+        concept_ids=header["concept_ids"],
+        weights={ch: w.T for ch, w in weights.items()},
+        bias=np.array(header["bias"], dtype=np.float64),
+        platt=np.array(header["platt"], dtype=np.float64).reshape(-1, 2).T,
+    )
 
 
 def _load_reps(store: ModelStore, split: str) -> list[videorep.VideoRepresentation]:
@@ -390,11 +401,9 @@ def _stage_train(config: PipelineConfig, store: ModelStore, workers: int) -> dic
     features = _features(store)
     seed0 = config.seed_for("train")
 
-    def job(item: tuple[int, object]) -> tuple[str, dict]:
+    def job(item: tuple[int, object]) -> tuple[detect.DetectorBank, dict]:
         idx, leaf = item
-        sel = select.SelectionResult.from_dict(
-            store.read_json(f"selections/{leaf.id}.json")
-        )
+        sel = _selection(store, leaf.id)
         pos_ids = [i for i, _ in sel.positives]
         neg_ids = [i for i, _ in sel.negatives]
         if len(pos_ids) < 2 or len(neg_ids) < 2:
@@ -426,16 +435,27 @@ def _stage_train(config: PipelineConfig, store: ModelStore, workers: int) -> dic
         model = detect.train_mklsvm(problem, concept_id=leaf.id)
         ho_ids = ho_p + ho_n
         ho_labels = np.array([1.0] * len(ho_p) + [-1.0] * len(ho_n))
-        detect.calibrate(model, model.raw_score_matrix(features(ho_ids)), ho_labels)
-        store.save_detector(model)
-        return leaf.id, {
+        # calibrate the weights as stored: folded, then rounded to f32
+        bank = detect.DetectorBank.fold(model)
+        bank.platt[:, 0] = detect.fit_platt(bank.raw_scores(features(ho_ids))[:, 0], ho_labels)
+        return bank, {
             "support_vectors": int(model.alpha.size),
             "beta": [float(b) for b in model.beta],
             "objective": model.objective,
         }
 
+    if not leaves:
+        raise PreconditionError("no verified concepts to train")
     done = _pmap(job, list(enumerate(leaves)), workers)
-    return {"trained": len(done), "detectors": dict(done)}
+    bank = detect.DetectorBank.concat([b for b, _ in done])
+    header = {
+        "concept_ids": bank.concept_ids,
+        "bias": bank.bias.tolist(),
+        "platt": bank.platt.T.tolist(),
+        "beta": [r["beta"] for _, r in done],
+    }
+    write_cbdt(store.path("detectors.cbdt"), header, {ch: w.T for ch, w in bank.weights.items()})
+    return {"trained": len(done), "detectors": {b.concept_ids[0]: r for b, r in done}}
 
 
 def _holdout_split(
@@ -478,8 +498,8 @@ def _layout(store: ModelStore, tree: ConceptBankTree) -> list[str]:
 def _stage_represent(config: PipelineConfig, store: ModelStore, workers: int) -> dict:
     tree = _tree(store)
     layout = _layout(store, tree)
-    detectors = {cid: store.load_detector(cid) for cid in sorted(set(layout))}
     books = _codebooks(store, config)
+    bank = _detector_bank(store, books).take(list(dict.fromkeys(layout)))
 
     def encoder(paths: list[Path]) -> tuple[list, list, dict[str, np.ndarray]]:
         return encode.encode_paths(paths, books, soft_k=config.soft_k)
@@ -491,7 +511,7 @@ def _stage_represent(config: PipelineConfig, store: ModelStore, workers: int) ->
             report[split] = 0
             continue
         reps = _pmap(
-            lambda entry: videorep.represent(entry, layout, detectors, encoder, m=config.m_frames),
+            lambda entry: videorep.represent(entry, layout, bank, encoder, m=config.m_frames),
             videorep.load_video_manifest(manifest),
             workers,
         )

@@ -8,8 +8,8 @@ Layout under the root:
     codebooks/             one CBCB file per channel
     features.cbfh          every manifest image's encoded features
     selections/            per-concept training-set choices (JSON)
-    detectors/             concept detectors (JSON header + f32 .bin)
-    event_detectors/       supervised event models, same scheme
+    detectors.cbdt         every concept detector, folded into weights
+    event_detectors/       supervised event models (JSON header + f32 .bin)
     plans/                 per-event query plans (JSON)
     representations/       one CBVR file per split
     reports/               visualness, retrieval, detection, eval, recount
@@ -21,6 +21,8 @@ the ontology.json hierarchy. Every artifact is written deterministically
 so re-running a stage with unchanged inputs rewrites identical bytes. The
 manifest records the config hash each stage completed under; stages refuse
 to build on upstream artifacts from a different configuration unless forced.
+Forcing a store built under another config resets its stage ledger; under
+the same config the ledger stays.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ from .errors import DataFormatError, PreconditionError
 from .retrieve import EventDetector
 
 STORE_VERSION = 1
+_EVENT_DIR = "event_detectors"
 _DIRS = (
     "codebooks",
     "selections",
-    "detectors",
-    "event_detectors",
+    _EVENT_DIR,
     "plans",
     "representations",
     "reports",
@@ -60,15 +62,15 @@ class ModelStore:
         self.root.mkdir(parents=True, exist_ok=True)
         for d in _DIRS:
             (self.root / d).mkdir(exist_ok=True)
-        if self.manifest_path.exists() and not force:
-            manifest = self.read_manifest()
-            if manifest.get("config_hash") != config_hash:
+        if self.manifest_path.exists():
+            built = self.read_manifest()["config_hash"]
+            if built == config_hash:
+                return
+            if not force:
                 raise PreconditionError(
                     f"store at {self.root} was built under config "
-                    f"{manifest.get('config_hash')}, current is {config_hash}; "
-                    "use --force to rebuild"
+                    f"{built}, current is {config_hash}; use --force to rebuild"
                 )
-            return
         self.write_json(
             "manifest.json",
             {"version": STORE_VERSION, "config_hash": config_hash, "stages": {}},
@@ -78,9 +80,13 @@ class ModelStore:
         if not self.manifest_path.exists():
             raise PreconditionError(f"no model store at {self.root}")
         try:
-            return json.loads(self.manifest_path.read_text(encoding="utf-8"))
+            doc = json.loads(self.manifest_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
-            raise DataFormatError(f"corrupt store manifest: {exc}") from exc
+            raise DataFormatError(f"corrupt store manifest {self.manifest_path}: {exc}") from exc
+        keys = {"version": int, "config_hash": str, "stages": dict}
+        (manifest,) = self.checked("manifest.json", [doc], keys)
+        self.checked("manifest.json", list(manifest["stages"].values()), {"config_hash": str})
+        return manifest
 
     def mark_stage(self, stage: str, config_hash: str) -> None:
         manifest = self.read_manifest()
@@ -124,9 +130,21 @@ class ModelStore:
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"corrupt store artifact {relpath}: {exc}") from exc
 
-    # -- detector persistence -------------------------------------------
+    def checked(self, relpath: str, entries, keys: dict) -> list[dict]:
+        """entries, if it is a list of dicts whose keys have exactly these
+        types, where list means a list of strings and a tuple of types a
+        list of rows holding those types; else DataFormatError naming the
+        file."""
+        if type(entries) is not list or not all(
+            isinstance(e, dict) and all(_fits(e.get(k), t) for k, t in keys.items())
+            for e in entries
+        ):
+            raise DataFormatError(f"malformed {self.path(relpath)}: missing or wrong-typed key")
+        return entries
 
-    def save_detector(self, model: DetectorModel, kind: str = "detectors") -> None:
+    # -- event detector persistence -------------------------------------
+
+    def save_detector(self, model: DetectorModel) -> None:
         dims = {c: int(model.support_features[c].shape[1]) for c in model.channels}
         header = {
             "concept_id": model.concept_id,
@@ -140,7 +158,7 @@ class ModelStore:
             "dims": dims,
             "count": int(model.alpha.size),
         }
-        self.write_json(f"{kind}/{model.concept_id}.json", header)
+        self.write_json(f"{_EVENT_DIR}/{model.concept_id}.json", header)
         blobs = [
             model.alpha.astype("<f4").tobytes(),
             model.support_labels.astype("<f4").tobytes(),
@@ -148,11 +166,11 @@ class ModelStore:
         for c in model.channels:
             blobs.append(np.ascontiguousarray(
                 model.support_features[c], dtype="<f4").tobytes())
-        self.path(kind, f"{model.concept_id}.bin").write_bytes(b"".join(blobs))
+        self.path(_EVENT_DIR, f"{model.concept_id}.bin").write_bytes(b"".join(blobs))
 
-    def load_detector(self, concept_id: str, kind: str = "detectors") -> DetectorModel:
-        header = self.read_json(f"{kind}/{concept_id}.json")
-        bin_path = self.path(kind, f"{concept_id}.bin")
+    def load_detector(self, concept_id: str) -> DetectorModel:
+        header = self.read_json(f"{_EVENT_DIR}/{concept_id}.json")
+        bin_path = self.path(_EVENT_DIR, f"{concept_id}.bin")
         try:
             raw = np.frombuffer(bin_path.read_bytes(), dtype="<f4").astype(np.float64)
         except OSError as exc:
@@ -187,7 +205,7 @@ class ModelStore:
         )
 
     def save_event_detector(self, det: EventDetector) -> None:
-        self.save_detector(det.model, kind="event_detectors")
+        self.save_detector(det.model)
         header = {
             "event_id": det.event_id,
             "concept_ids": list(det.concept_ids),
@@ -197,4 +215,16 @@ class ModelStore:
             "cv_ap": float(det.cv_ap),
             "model": det.model.concept_id,
         }
-        self.write_json(f"event_detectors/{det.event_id}.meta.json", header)
+        self.write_json(f"{_EVENT_DIR}/{det.event_id}.meta.json", header)
+
+
+def _fits(value, kind) -> bool:
+    if kind is list:
+        return type(value) is list and all(type(x) is str for x in value)
+    if type(kind) is tuple:
+        return type(value) is list and all(
+            type(row) is list and len(row) == len(kind)
+            and all(type(x) is t for x, t in zip(row, kind))
+            for row in value
+        )
+    return type(value) is kind

@@ -2,8 +2,8 @@
 
 A video arrives as pre-extracted frames. m frames are sampled at even
 temporal spacing, each is encoded and scored by the selected concept
-detectors, and the per-concept calibrated scores are average-pooled over
-frames. The pooled vector, aligned with the concept ids of the plan that
+detectors (one product per channel scores every concept), and the
+per-concept calibrated scores are average-pooled over frames. The pooled vector, aligned with the concept ids of the plan that
 produced it, is the video's representation for retrieval and event
 detection. Recounting is simply the top-k concepts of that vector.
 """
@@ -11,6 +11,7 @@ detection. Recounting is simply the top-k concepts of that vector.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .detect import DetectorModel
+from .detect import DetectorBank
 from .errors import DataFormatError, PreconditionError
 
 
@@ -68,7 +69,7 @@ def sample_frames(frames: Sequence, m: int = 20) -> list:
 def represent(
     entry: VideoManifestEntry,
     concept_ids: Sequence[str],
-    detectors: Mapping[str, DetectorModel],
+    bank: DetectorBank,
     encoder: Callable[[list[Path]], tuple[list, list, dict[str, np.ndarray]]],
     m: int = 20,
 ) -> VideoRepresentation:
@@ -78,27 +79,19 @@ def represent(
     Frames it skips are warned about; the video errors out only when no
     frame survives.
     """
-    missing = [c for c in concept_ids if c not in detectors]
-    if missing:
-        raise PreconditionError(f"no trained detector for: {missing[:5]}")
+    columns = bank.columns(concept_ids)
     kept, skipped, stacked = encoder(sample_frames(entry.frame_paths, m))
     for path, exc in skipped:
         warnings.warn(f"video {entry.video_id}: skipping frame {path}: {exc}", stacklevel=2)
     if not kept:
         raise DataFormatError(f"video {entry.video_id}: no usable frames")
 
-    # a layout may repeat a concept (one slot per plan); score each once
-    unique = {cid: row for row, cid in enumerate(dict.fromkeys(concept_ids))}
-    per_concept = np.empty((len(unique), len(kept)), dtype=np.float64)
-    for cid, row in unique.items():
-        model = detectors[cid]
-        feats = {ch: stacked[ch] for ch in model.channels}
-        per_concept[row] = model.calibrated(model.raw_score_matrix(feats))
-    pooled = per_concept.mean(axis=1)
+    # one column per bank concept; a layout may repeat a concept (one slot per plan)
+    pooled = bank.calibrated(bank.raw_scores(stacked)).mean(axis=0)
     return VideoRepresentation(
         video_id=entry.video_id,
         concept_ids=list(concept_ids),
-        scores=pooled[[unique[cid] for cid in concept_ids]],
+        scores=pooled[columns],
         frames_used=len(kept),
     )
 
@@ -167,19 +160,18 @@ def load_video_manifest(path: str | Path) -> list[VideoManifestEntry]:
 
 
 def _frames_in_dir(directory: Path) -> list[Path]:
-    """Frame locators in a directory: .ppm rasters as-is, descriptor
-    files collapsed to their stem (name before .<channel>.cbfv)."""
-    stems: set[Path] = set()
-    for f in sorted(directory.iterdir()):
-        if not f.is_file():
-            continue
-        if f.suffix == ".ppm":
-            stems.add(f)
-        elif f.suffix == ".cbfv":
-            base = f.name[: -len(".cbfv")]
-            stem, _, _channel = base.rpartition(".")
-            if stem:
-                stems.add(directory / stem)
+    """Frame locators in a directory, sorted by name: .ppm rasters as-is,
+    descriptor files collapsed to their stem (name before .<channel>.cbfv)."""
+    stems: set[str] = set()
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            name = entry.name
+            if len(name) > 4 and name.endswith(".ppm") and entry.is_file():
+                stems.add(name)
+            elif len(name) > 5 and name.endswith(".cbfv") and entry.is_file():
+                stem, _, _channel = name[: -len(".cbfv")].rpartition(".")
+                if stem:
+                    stems.add(stem)
     if not stems:
         raise DataFormatError(f"no frames found in {directory}")
-    return sorted(stems)
+    return [directory / stem for stem in sorted(stems)]

@@ -90,7 +90,7 @@ def test_store_initialize_and_stage_tracking(tmp_path):
     store = ModelStore(tmp_path / "store")
     store.initialize("hash-a")
     assert store.read_manifest()["stages"] == {}
-    for d in ("codebooks", "detectors", "reports"):
+    for d in ("codebooks", "event_detectors", "reports"):
         assert store.path(d).is_dir()
 
     store.mark_stage("ingest", "hash-a")
@@ -177,7 +177,7 @@ def test_detector_blob_guards(tmp_path):
     store.initialize("h")
     model = sample_detector()
     store.save_detector(model)
-    bin_path = store.path("detectors", "con-7.bin")
+    bin_path = store.path("event_detectors", "con-7.bin")
     whole = bin_path.read_bytes()
     bin_path.write_bytes(whole + b"\x00\x00\x00\x00")
     with pytest.raises(DataFormatError, match="trailing data"):
@@ -214,7 +214,7 @@ def test_event_detector_round_trip(tmp_path):
     assert (meta["event_id"], meta["concept_ids"]) == ("evt-0002", ["con-1", "con-2"])
     assert (meta["C"], meta["bandwidth"], meta["bandwidth_scale"]) == (10.0, 0.5, 2.0)
     assert meta["cv_ap"] == 0.9375
-    clone = store.load_detector(meta["model"], kind="event_detectors")
+    clone = store.load_detector(meta["model"])
     assert_same_detector(clone, inner)
 
 

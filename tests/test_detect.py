@@ -1,16 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from conceptbank.detect import (
+    DetectorBank,
     DetectorTrainingProblem,
     _smo,
     KernelSpec,
     VisualnessReport,
-    calibrate,
     chi2_distances,
     compute_kernel,
     fit_platt,
@@ -219,6 +220,46 @@ def test_model_scales_new_points():
         model.raw_score_matrix({"g": x})
 
 
+def test_folded_weights_score_like_the_kernel_expansion():
+    rng = np.random.default_rng(3)
+    y = np.array([1.0] * 8 + [-1.0] * 8)
+    x = {"a": rng.normal(size=(16, 3)) + 1.5 * y[:, None], "b": 0.1 * rng.normal(size=(16, 4))}
+    kernels = {c: KernelSpec("linear") for c in x}
+    problem = DetectorTrainingProblem(
+        gram=[x[c] @ x[c].T for c in x], labels=y, C=1.0, gamma=0.01,
+        channels=list(x), features=x, kernels=kernels,
+    )
+    model = train_mklsvm(problem, concept_id="con-w")
+    assert model.beta[1] == 0.0 < model.beta[0]  # channel b drops out
+    new = {"a": rng.normal(size=(5, 3)), "b": 50.0 * rng.normal(size=(5, 4))}
+    mixed = sum(
+        b * compute_kernel(new[c], model.support_features[c], kernels[c])
+        for b, c in zip(model.beta, model.channels)
+    )
+    expansion = mixed @ (model.alpha * model.support_labels) + model.bias
+    assert np.allclose(model.raw_score_matrix(new), expansion, rtol=0, atol=1e-12)
+
+    # the bank holds the same weights, rounded to f32, one column per model
+    other = dataclasses.replace(model, concept_id="con-v", bias=-1.0, platt=(-2.0, 0.5))
+    bank = DetectorBank.concat([DetectorBank.fold(model), DetectorBank.fold(other)])
+    assert bank.concept_ids == ["con-w", "con-v"]
+    for c, w in model.weights().items():
+        assert bank.weights[c].shape == (w.size, 2)
+        assert np.array_equal(bank.weights[c][:, 1], w.astype(np.float32))
+    raw = bank.raw_scores(new)
+    assert np.allclose(raw[:, 0], expansion, rtol=0, atol=1e-5)
+    assert np.allclose(raw[:, 0] - model.bias, raw[:, 1] + 1.0, rtol=0, atol=1e-12)
+    assert np.array_equal(bank.calibrated(raw)[:, 1], other.calibrated(raw[:, 1]))
+    alone = bank.take(["con-v"])
+    assert alone.concept_ids == ["con-v"] and alone.platt.tolist() == [[-2.0], [0.5]]
+    assert np.array_equal(alone.raw_scores(new)[:, 0], DetectorBank.fold(other).raw_scores(new)[:, 0])
+    with pytest.raises(PreconditionError, match="no trained detector"):
+        bank.columns(["con-v", "con-u"])
+    chi2 = dataclasses.replace(model, kernels={"a": KernelSpec("chi2", 1.0), "b": kernels["b"]})
+    with pytest.raises(PreconditionError, match="only linear"):
+        chi2.weights()
+
+
 def test_platt_orientation_and_monotonicity():
     scores = np.array([-2.0, -1.5, -1.0, 1.0, 1.5, 2.0])
     labels = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
@@ -238,13 +279,6 @@ def test_platt_uninformative_scores_settle_at_prevalence():
     assert abs(p.mean() - (labels > 0).mean()) < 0.05
     with pytest.raises(PreconditionError, match="both classes"):
         fit_platt(scores, np.ones(400))
-
-
-def test_calibrate_attaches_parameters():
-    model = train_mklsvm(toy_problem(0.0), tol=1e-8)
-    out = calibrate(model, np.array([-1.0, 1.0]), np.array([-1.0, 1.0]))
-    assert out is model
-    assert model.platt[0] < 0
 
 
 def blobs(seed, n, separation):

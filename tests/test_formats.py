@@ -9,11 +9,13 @@ import pytest
 from conceptbank.errors import DataFormatError
 from conceptbank.formats import (
     read_cbcb,
+    read_cbdt,
     read_cbfh,
     read_cbfv,
     read_cbvr,
     read_ppm,
     write_cbcb,
+    write_cbdt,
     write_cbfh,
     write_cbfv,
     write_cbvr,
@@ -188,6 +190,73 @@ def test_video_representation_header_errors(tmp_path):
             read_cbvr(path)
 
 
+DETECTOR_HEADER = {
+    "concept_ids": ["c1", "c2"],
+    "bias": [0.5, -0.25],
+    "platt": [[-1.5, 0.125], [-2.0, 0.0]],
+    "beta": [[1.0, 0.0], [0.375, 0.625]],
+}
+
+
+def test_detector_table_round_trip(tmp_path):
+    path = tmp_path / "detectors.cbdt"
+    weights = {
+        "syn-b": np.linspace(-1.0, 1.0, 8, dtype=np.float32).astype(np.float64).reshape(2, 4),
+        "syn-a": np.zeros((2, 3)),
+    }
+    write_cbdt(path, DETECTOR_HEADER, weights)
+    header, got = read_cbdt(path)
+    assert header == {**DETECTOR_HEADER, "channels": [["syn-b", 4], ["syn-a", 3]]}
+    assert list(got) == ["syn-b", "syn-a"]  # channel order kept
+    for name in weights:
+        assert got[name].dtype == np.float64
+        assert np.array_equal(got[name], weights[name])
+    empty = {"concept_ids": [], "bias": [], "platt": [], "beta": []}
+    write_cbdt(path, empty, {"syn-a": np.zeros((0, 3))})
+    assert read_cbdt(path)[1]["syn-a"].shape == (0, 3)
+    path.write_bytes(b"CBDX")
+    with pytest.raises(DataFormatError, match="not a CBDT"):
+        read_cbdt(path)
+
+
+def test_detector_table_header_errors(tmp_path):
+    path = tmp_path / "bad.cbdt"
+    good = {**DETECTOR_HEADER, "channels": [["a", 1], ["b", 2]]}
+    cases = [  # (header change, message)
+        (lambda h: h.pop("concept_ids"), "no key 'concept_ids'"),
+        (lambda h: h.pop("channels"), "no key 'channels'"),
+        (lambda h: h.pop("bias"), "no key 'bias'"),
+        (lambda h: h.pop("platt"), "no key 'platt'"),
+        (lambda h: h.pop("beta"), "no key 'beta'"),
+        (lambda h: h.update(concept_ids=["c1", "c1"]), "repeated id in concept_ids"),
+        (lambda h: h.update(concept_ids=["c1", 2]), "concept_ids must be a list of str"),
+        (lambda h: h.update(channels=[["a", 1], ["a", 2]]), "repeated id in channel names"),
+        (lambda h: h.update(channels=[["a", -3]]), "channels must be \\[name, dim\\] pairs"),
+        (lambda h: h.update(bias=[0.5, 1]), "bias must be a list of float"),
+        (lambda h: h.update(bias=[0.5]), "1 bias entries for 2 concepts"),
+        (lambda h: h.update(platt=[[-1.0, 0.0]]), "1 platt entries for 2 concepts"),
+        (lambda h: h.update(platt=[[-1.0], [-1.0]]), "platt rows must hold 2 floats"),
+        (lambda h: h.update(platt=[[-1.0, "0"], [-1.0, 0.0]]), "platt must be a list of float"),
+        (lambda h: h.update(platt="x"), "platt must be a list of list"),
+        (lambda h: h.update(beta=[[1.0, 0.0]] * 3), "3 beta entries for 2 concepts"),
+        (lambda h: h.update(beta=[[1.0], [1.0]]), "beta rows must hold 2 floats"),
+        (lambda h: h.update(beta=[[1.0, 0], [1.0, 0.0]]), "beta must be a list of float"),
+    ]
+    for change, message in cases:
+        header = json.loads(json.dumps(good))
+        change(header)
+        path.write_bytes(_table(b"CBDT", header) + bytes(4 * 6))
+        with pytest.raises(DataFormatError, match=f"{message}.*bad.cbdt"):
+            read_cbdt(path)
+    for header in ([], "x", 3):
+        path.write_bytes(_table(b"CBDT", header))
+        with pytest.raises(DataFormatError, match="not a JSON object"):
+            read_cbdt(path)
+    path.write_bytes(_table(b"CBDT", good) + bytes(4 * 5))
+    with pytest.raises(DataFormatError, match="not 6 values.*bad.cbdt"):
+        read_cbdt(path)
+
+
 WRITERS = {
     "cbfv": (
         lambda p: write_cbfv(p, np.zeros((2, 2)), np.ones((2, 3))), read_cbfv
@@ -197,6 +266,10 @@ WRITERS = {
         read_cbfh,
     ),
     "cbcb": (lambda p: write_cbcb(p, "syn-a", np.ones((2, 3)), 7, 0.5), read_cbcb),
+    "cbdt": (
+        lambda p: write_cbdt(p, DETECTOR_HEADER, {"syn-a": np.ones((2, 3)), "syn-b": np.zeros((2, 2))}),
+        read_cbdt,
+    ),
     "cbvr": (
         lambda p: write_cbvr(
             p,

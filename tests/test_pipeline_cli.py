@@ -9,7 +9,7 @@ import pytest
 
 from conceptbank.cli import main
 from conceptbank.errors import PreconditionError
-from conceptbank.formats import read_cbfh, write_cbfh
+from conceptbank.formats import read_cbdt, read_cbfh, write_cbdt, write_cbfh
 from conceptbank.pipeline import STAGES, run_all, run_stage
 
 
@@ -69,7 +69,7 @@ OWNED = {
     "encode": ("features.cbfh",),
     "select": ("selections/*.json",),
     "verify": ("reports/visualness.json",),
-    "train": ("detectors/*.json", "detectors/*.bin"),
+    "train": ("detectors.cbdt",),
     "match": ("plans/*.json",),
     "represent": ("representations/*.cbvr",),
     "retrieve": ("reports/retrieval/*.json",),
@@ -145,6 +145,55 @@ def test_feature_table_loader_rejects_a_corrupt_features_file(full_store, corpus
         corrupt(store / "features.cbfh")
         assert run_cli("verify", "--store", store, "--config", config) == 3, i
         assert str(store / "features.cbfh") in capsys.readouterr().err, i
+
+
+def _json_edit(change):
+    def corrupt(path):
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc))
+
+    return corrupt
+
+
+def _drop_a_weight_column(path) -> None:
+    header, weights = read_cbdt(path)
+    header.pop("channels")
+    write_cbdt(path, header, {ch: w[:, :-1] for ch, w in weights.items()})
+
+
+def test_store_loaders_reject_malformed_files(full_store, corpus_dir, tmp_path, capsys):
+    config = corpus_dir[0] / "config.json"
+    verdicts = full_store.read_json("reports/visualness.json")
+    selection = f"selections/{min(c for c, v in verdicts.items() if v['passed'])}.json"
+    cases = [  # (stage, file, corruption), each on a fresh copy of the full store
+        ("train", selection, _json_edit(lambda d: d.pop("negatives"))),
+        ("train", selection, _json_edit(lambda d: d["positives"][0].__setitem__(1, "0.5"))),
+        ("train", selection, _json_edit(lambda d: d["negatives"].append(["im-x"]))),
+        ("eval", "manifest.json", _json_edit(lambda d: d.pop("stages"))),
+        ("eval", "manifest.json", _json_edit(lambda d: d["stages"]["ontology"].update(config_hash=3))),
+        ("eval", "manifest.json", _json_edit(lambda d: d.update(stages=[]))),
+        ("represent", "detectors.cbdt", lambda p: p.write_bytes(p.read_bytes()[:-4])),
+        ("represent", "detectors.cbdt", lambda p: p.write_bytes(p.read_bytes().replace(b'"bias"', b'"bia"', 1))),
+        ("represent", "detectors.cbdt", _drop_a_weight_column),  # dims differ from the codebooks'
+    ]
+    for i, (stage, relpath, corrupt) in enumerate(cases):
+        store = tmp_path / f"store-{i}"
+        shutil.copytree(full_store.root, store)
+        corrupt(store / relpath)
+        assert run_cli(stage, "--store", store, "--config", config) == 3, i
+        assert str(store / relpath) in capsys.readouterr().err, i
+
+
+def test_forcing_a_stage_under_the_same_config_keeps_the_ledger(
+    full_store, corpus_dir, tmp_path, capsys
+):
+    store = tmp_path / "store"
+    shutil.copytree(full_store.root, store)
+    before = _snapshot(store)
+    config = corpus_dir[0] / "config.json"
+    assert run_cli("recount", "--store", store, "--config", config, "--force") == 0
+    assert not _changed(before, _snapshot(store))
 
 
 def test_full_run_marks_every_stage(full_store, corpus_config):

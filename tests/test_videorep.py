@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conceptbank.detect import DetectorTrainingProblem, KernelSpec, train_mklsvm
+from conceptbank.detect import DetectorBank, DetectorTrainingProblem, KernelSpec, train_mklsvm
 from conceptbank.encode import PYRAMID_BLOCKS, Codebook, encode_paths
 from conceptbank.errors import DataFormatError, PreconditionError
 from conceptbank.formats import write_cbfv
@@ -62,6 +62,17 @@ def trained_detector(direction, concept_id):
     return train_mklsvm(problem, tol=1e-8, concept_id=concept_id)
 
 
+def bank_of(*models):
+    return DetectorBank.concat([DetectorBank.fold(m) for m in models])
+
+
+def stored_scores(model, frames):
+    """A linear model's calibrated scores through its weights as the
+    detector table stores them, rounded to f32."""
+    w = model.weights()["f"].astype(np.float32).astype(np.float64)
+    return model.calibrated(np.asarray(frames, dtype=np.float64) @ w + model.bias)
+
+
 def frame_encoder(table):
     """Batch encoder over a {frame: 2-d feature} table; unknown frames
     are skipped with a DataFormatError, as encode.encode_paths does."""
@@ -82,18 +93,23 @@ def test_represent_pools_calibrated_scores_over_frames():
     }
     table = {"f0": [2.0, 0.0], "f1": [0.0, 2.0]}
     entry = VideoManifestEntry("vid-0", ["f0", "f1"])
-    rep = represent(entry, ["con-a", "con-b"], det, frame_encoder(table), m=4)
+    bank = bank_of(*det.values())
+    rep = represent(entry, ["con-a", "con-b"], bank, frame_encoder(table), m=4)
     assert rep.concept_ids == ["con-a", "con-b"]
     assert rep.frames_used == 2
     assert np.all(rep.scores > 0) and np.all(rep.scores < 1)
     hand = [
-        np.mean([
-            det[c].calibrated(det[c].raw_score_matrix({"f": np.array([v], float)}))
-            for v in table.values()
-        ])
+        np.mean([stored_scores(det[c], [v]) for v in table.values()])
         for c in ("con-a", "con-b")
     ]
     assert np.allclose(rep.scores, hand, atol=1e-12)
+    # f32 weights stay within f32 rounding of the f64 model's scores
+    exact = [
+        np.mean([det[c].calibrated(det[c].raw_score_matrix({"f": np.array([v], float)}))
+                 for v in table.values()])
+        for c in ("con-a", "con-b")
+    ]
+    assert np.allclose(rep.scores, exact, atol=1e-6)
 
 
 def test_represent_repeated_layout_slots_match_per_slot_scoring():
@@ -104,17 +120,17 @@ def test_represent_repeated_layout_slots_match_per_slot_scoring():
     table = {"f0": [2.0, 0.0], "f1": [0.3, 1.7], "f2": [-1.0, 0.5]}
     entry = VideoManifestEntry("vid-r", list(table))
     layout = ["con-b", "con-a", "con-b", "con-b", "con-a"]
-    rep = represent(entry, layout, det, frame_encoder(table), m=3)
-    frames = {"f": np.array(list(table.values()))}
-    per_slot = np.array([
-        det[c].calibrated(det[c].raw_score_matrix(frames)).mean() for c in layout
-    ])
+    bank = bank_of(det["con-b"], det["con-a"])
+    rep = represent(entry, layout, bank, frame_encoder(table), m=3)
+    once = represent(entry, ["con-b", "con-a"], bank, frame_encoder(table), m=3)
+    per_slot = np.array([stored_scores(det[c], list(table.values())).mean() for c in layout])
     assert rep.concept_ids == layout
-    assert np.array_equal(rep.scores, per_slot)
+    assert np.array_equal(rep.scores, once.scores[[0, 1, 0, 0, 1]])
+    assert np.allclose(rep.scores, per_slot, atol=1e-12)
 
 
 def test_represent_skips_bad_frames_but_needs_one():
-    det = {"con-a": trained_detector(np.array([1.0, 0.0]), "con-a")}
+    det = bank_of(trained_detector(np.array([1.0, 0.0]), "con-a"))
     table = {"good": [1.0, 0.0]}
     entry = VideoManifestEntry("vid-1", ["bad", "good"])
     with pytest.warns(UserWarning, match="skipping frame"):
@@ -141,7 +157,7 @@ def test_represent_skips_a_bad_middle_frame(tmp_path):
         features={"f": x},
         kernels={"f": KernelSpec("linear")},
     )
-    det = {"con-a": train_mklsvm(problem, concept_id="con-a")}
+    det = DetectorBank.fold(train_mklsvm(problem, concept_id="con-a"))
 
     def encoder(paths):
         return encode_paths(paths, books)
@@ -156,8 +172,9 @@ def test_represent_skips_a_bad_middle_frame(tmp_path):
 
 def test_represent_requires_detectors_for_the_plan():
     entry = VideoManifestEntry("vid-3", ["f0"])
-    with pytest.raises(PreconditionError, match="no trained detector"):
-        represent(entry, ["con-z"], {}, frame_encoder({}), m=1)
+    bank = DetectorBank.fold(trained_detector(np.array([1.0, 0.0]), "con-a"))
+    with pytest.raises(PreconditionError, match=r"no trained detector for: \['con-z'\]"):
+        represent(entry, ["con-a", "con-z"], bank, frame_encoder({}), m=1)
 
 
 def rep_of(ids, scores):
@@ -237,6 +254,24 @@ def test_video_manifest_descriptor_stems(tmp_path):
     manifest.write_text("vid-c\t-\tvid-c\n", encoding="utf-8")
     entries = load_video_manifest(manifest)
     assert [p.name for p in entries[0].frame_paths] == ["frame-000", "frame-001"]
+
+
+def test_video_manifest_frame_listing_keeps_only_frame_files(tmp_path):
+    frames = tmp_path / "vid-d"
+    frames.mkdir()
+    for name in (
+        "frame-10.ppm", "frame-2.ppm", "a.ppm",  # sorted by name, not number
+        "b.syn-a.cbfv", "b.syn-b.cbfv", "a.ppm.syn-a.cbfv",  # channels share a stem
+        ".ppm", "x.cbfv", "notes.txt", "c.ppm.bak",  # no frame
+    ):
+        (frames / name).write_bytes(b"")
+    (frames / "sub.ppm").mkdir()
+    (frames / "d.syn-a.cbfv").mkdir()
+    manifest = tmp_path / "videos.tsv"
+    manifest.write_text("vid-d\t-\tvid-d\n", encoding="utf-8")
+    (entry,) = load_video_manifest(manifest)
+    names = ["a.ppm", "b", "frame-10.ppm", "frame-2.ppm"]
+    assert entry.frame_paths == [frames / name for name in names]
 
 
 def test_video_manifest_errors(tmp_path):
