@@ -205,6 +205,8 @@ def load_manifest(
         if lexicon is not None:
             record.tokens_by_tag = [_tag_tokens(t, lexicon) for t in tags]
         records.append(record)
+    if not records:
+        raise DataFormatError(f"image manifest {path} has no image rows")
     return records
 
 

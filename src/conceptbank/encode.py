@@ -6,6 +6,8 @@ codewords with Gaussian weights summing to one per patch, and the mass is
 accumulated into every spatial pyramid block (1x1 + 2x2 + 3x1 = 8 blocks)
 containing the patch center. Each block's K-bin sub-histogram is
 L1-normalized, so a K=1,000 codebook yields the 8,000-dim channel vector.
+Features stay in one format from here to training: a batch of images
+encodes to {channel: (images x 8K)}, one row per image.
 
 Two built-in descriptors (gray-patch, color-hist) over dense 20x20
 patches with 50% overlap keep the whole pipeline testable without any
@@ -60,20 +62,6 @@ class Codebook:
     @property
     def k(self) -> int:
         return self.centers.shape[0]
-
-
-@dataclass
-class FeatureSet:
-    """Per-channel pyramid histograms for one image (or frame)."""
-
-    vectors: dict[str, np.ndarray]
-
-    def dim(self, channel: str) -> int:
-        return self.vectors[channel].size
-
-    @property
-    def channels(self) -> list[str]:
-        return list(self.vectors)
 
 
 def train_codebook(
@@ -186,9 +174,12 @@ def encode_image(
     codebooks: dict[str, Codebook],
     image_size: tuple[float, float],
     soft_k: int = 5,
-) -> FeatureSet:
-    """Encode one image's descriptor blocks; see encode_images."""
-    return encode_images([blocks], codebooks, [image_size], soft_k)[0]
+) -> dict[str, np.ndarray]:
+    """One image's {channel: vector}; see encode_images. Nothing in the
+    package calls it; the benchmark's per-layer list names it until its
+    encode probes move to encode_images (ROADMAP item 7)."""
+    matrices = encode_images([blocks], codebooks, [image_size], soft_k)
+    return {ch: m[0] for ch, m in matrices.items()}
 
 
 def encode_images(
@@ -196,18 +187,20 @@ def encode_images(
     codebooks: dict[str, Codebook],
     sizes: list[tuple[float, float]],
     soft_k: int = 5,
-) -> list[FeatureSet]:
+) -> dict[str, np.ndarray]:
     """Encode images that share their channels into pyramid histograms,
-    each bit for bit as if alone. sizes[i] is image i's (width, height);
-    a patch adds to the one block per level that contains its center.
-    Patches are sorted per image, so their order does not matter. BLAS
-    rounds a product row differently next to other rows, so distances
-    are taken per stack of images with equal patch counts."""
-    channels = list(blocks_list[0]) if blocks_list else []
+    {channel: (images x PYRAMID_BLOCKS * k)}, each row bit for bit as if
+    its image were alone. sizes[i] is image i's (width, height); a patch
+    adds to the one block per level that contains its center. Patches
+    are sorted per image, so their order does not matter. BLAS rounds a
+    product row differently next to other rows, so distances are taken
+    per stack of images with equal patch counts. No images give a
+    (0, dim) matrix per codebook channel."""
+    channels = list(blocks_list[0]) if blocks_list else list(codebooks)
     # a non-positive extent puts every patch in the first cell
     extents = np.asarray(sizes, dtype=np.float64).reshape(-1, 2)
     extents = np.where(extents > 0, extents, np.inf)
-    out = [FeatureSet(vectors={}) for _ in blocks_list]
+    out = {}
     for channel in channels:
         codebook = codebooks.get(channel)
         if codebook is None:
@@ -215,6 +208,7 @@ def encode_images(
         counts = np.array([b[channel].vectors.shape[0] for b in blocks_list])
         if not counts.all():
             raise PreconditionError(f"channel {channel}: zero patches")
+        out[channel] = np.empty((len(blocks_list), PYRAMID_BLOCKS * codebook.k))
         for n in np.unique(counts):
             group = np.flatnonzero(counts == n)
             pos = np.stack([blocks_list[i][channel].grid_positions for i in group])
@@ -235,8 +229,7 @@ def encode_images(
                 offset += rows * cols
             sums = hist.sum(axis=2, keepdims=True)
             np.divide(hist, sums, out=hist, where=sums > 0)
-            for i, vector in zip(group, hist.reshape(len(group), -1)):
-                out[i].vectors[channel] = vector
+            out[channel][group] = hist.reshape(len(group), -1)
     return out
 
 
@@ -317,12 +310,14 @@ def encode_from_path(
     image_path: str | Path,
     codebooks: dict[str, Codebook],
     soft_k: int = 5,
-) -> FeatureSet:
-    """Load/compute descriptors for every codebook channel and encode."""
+) -> dict[str, np.ndarray]:
+    """One image file's {channel: vector}; see encode_paths. Nothing in
+    the package calls it; the benchmark's per-layer list names it until
+    its encode probes move to encode_paths (ROADMAP item 7)."""
     _, bad, matrices = encode_paths([image_path], codebooks, soft_k)
     if bad:
         raise bad[0][1]
-    return FeatureSet(vectors={ch: m[0] for ch, m in matrices.items()})
+    return {ch: m[0] for ch, m in matrices.items()}
 
 
 def encode_paths(
@@ -352,5 +347,4 @@ def encode_paths(
             kept.append(path)
             loaded.append(blocks)
     sizes = [infer_image_size(next(iter(b.values())).grid_positions) for b in loaded]
-    feats = encode_images(loaded, codebooks, sizes, soft_k)
-    return kept, bad, {ch: np.array([fs.vectors[ch] for fs in feats]) for ch in codebooks}
+    return kept, bad, encode_images(loaded, codebooks, sizes, soft_k)

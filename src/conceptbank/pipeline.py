@@ -300,30 +300,25 @@ def _stage_encode(config: PipelineConfig, store: ModelStore, workers: int) -> di
     return {"images": len(records), "dims_per_channel": next(iter(mats.values())).shape[1]}
 
 
-def _build_pools(candidates: list[dict], features: Callable) -> dict[str, select.ConceptImagePool]:
-    pools = {}
-    for cand in candidates:
-        ids, mats = cand["image_ids"], features(cand["image_ids"])
-        fs = [encode.FeatureSet({ch: m[j] for ch, m in mats.items()}) for j in range(len(ids))]
-        pools[cand["concept_id"]] = select.ConceptImagePool(cand["concept_id"], list(zip(ids, fs)))
-    return pools
-
-
 def _stage_select(config: PipelineConfig, store: ModelStore, workers: int) -> dict:
     candidates = sorted(_candidates(store), key=lambda c: c["concept_id"])
-    pools = _build_pools(candidates, _features(store))
+    features = _features(store)
+    # every job gets all pools; sampling negatives skips a pool's own concept
+    pools = [
+        select.ConceptImagePool(c["concept_id"], c["image_ids"], features(c["image_ids"]))
+        for c in candidates
+    ]
+    del features  # the pools hold copies of their rows; free the table before the jobs
     seed0 = config.seed_for("selection")
 
-    def job(item: tuple[int, dict]) -> tuple[str, int]:
-        idx, cand = item
-        cid = cand["concept_id"]
-        pool = pools[cid]
-        others = [p for k, p in sorted(pools.items()) if k != cid]
+    def job(item: tuple[int, select.ConceptImagePool]) -> tuple[str, int]:
+        idx, pool = item
+        cid = pool.concept_id
         seed = seed0 + idx
         if config.selection_mode == "kde":
             result = select.select_training_set(
                 pool,
-                others,
+                pools,
                 s=config.s,
                 t=config.t,
                 seed=seed,
@@ -338,14 +333,14 @@ def _stage_select(config: PipelineConfig, store: ModelStore, workers: int) -> di
                 concept_id=cid,
                 positives=[(ids[j], 0.0) for j in picked],
                 negatives=select.sample_negatives(
-                    pool, others, config.t, seed, allow_fewer=True
+                    pool, pools, config.t, seed, allow_fewer=True
                 ),
                 seed=seed,
             )
         store.write_json(f"selections/{cid}.json", result.to_dict())
         return cid, len(result.positives)
 
-    done = _pmap(job, list(enumerate(candidates)), workers)
+    done = _pmap(job, list(enumerate(pools)), workers)
     return {"selections": {cid: n for cid, n in done}, "mode": config.selection_mode}
 
 

@@ -6,8 +6,9 @@ scored by a multi-feature kernel density estimate over its concept pool:
     p(c|i) = (1/(M*N)) * sum_m sum_j exp(-||f_m^i - f_m^j||^2 / sigma_m^2)
 
 with sigma_m the mean unsquared L2 distance over distinct member pairs in
-channel m. High-confidence images become positives; negatives are sampled
-from other concepts' pools.
+channel m. A pool holds f_m as one (images x dim) matrix per channel, as
+encode writes them. High-confidence images become positives; negatives
+are sampled from other concepts' pools.
 """
 
 from __future__ import annotations
@@ -17,52 +18,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encode import FeatureSet, _sq_dists
+from .encode import _sq_dists
 from .errors import DegenerateSigmaWarning, PreconditionError
 
 
 @dataclass
 class ConceptImagePool:
+    """A concept's harvested images: image_ids[i] is row i of every
+    features[channel] matrix, {channel: (images x dim)}."""
+
     concept_id: str
-    members: list[tuple[str, FeatureSet]]
+    image_ids: list[str]
+    features: dict[str, np.ndarray]
     sigma: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.members:
+        if not self.image_ids:
             raise PreconditionError(f"empty pool for {self.concept_id}")
-        channels = self.members[0][1].channels
-        for image_id, fs in self.members:
-            if fs.channels != channels:
+        self.features = {ch: np.asarray(m, dtype=np.float64) for ch, m in self.features.items()}
+        for channel, m in self.features.items():
+            if m.ndim != 2 or m.shape[0] != len(self.image_ids):
                 raise PreconditionError(
-                    f"pool {self.concept_id}: channel mismatch at {image_id}"
+                    f"pool {self.concept_id}: channel {channel} is {m.shape}, "
+                    f"not one row for each of {len(self.image_ids)} images"
                 )
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.image_ids)
 
     @property
     def channels(self) -> list[str]:
-        return self.members[0][1].channels
-
-    @property
-    def image_ids(self) -> list[str]:
-        return [image_id for image_id, _ in self.members]
-
-    def channel_matrix(self, channel: str) -> np.ndarray:
-        rows = []
-        dim = None
-        for image_id, fs in self.members:
-            v = np.asarray(fs.vectors[channel], dtype=np.float64).ravel()
-            if dim is None:
-                dim = v.size
-            elif v.size != dim:
-                raise PreconditionError(
-                    f"pool {self.concept_id}: channel {channel} dim mismatch "
-                    f"at {image_id} ({v.size} != {dim})"
-                )
-            rows.append(v)
-        return np.stack(rows)
+        return list(self.features)
 
 
 @dataclass
@@ -97,7 +84,7 @@ def compute_sigma(pool: ConceptImagePool) -> dict[str, float]:
     every kernel term for that channel into exp(-d^2)."""
     sigma: dict[str, float] = {}
     for channel in pool.channels:
-        f = pool.channel_matrix(channel)
+        f = pool.features[channel]
         n = f.shape[0]
         if n < 2:
             warnings.warn(
@@ -132,7 +119,7 @@ def kde_confidences(pool: ConceptImagePool) -> np.ndarray:
     m = len(pool.channels)
     acc = np.zeros(n, dtype=np.float64)
     for channel in pool.channels:
-        f = pool.channel_matrix(channel)
+        f = pool.features[channel]
         s = pool.sigma[channel]
         acc += np.exp(-_sq_dists(f, f) / (s * s)).sum(axis=1)
     return acc / (m * n)
@@ -154,12 +141,9 @@ def select_training_set(
     source is the lexicographically first owning concept.
     """
     scores = kde_confidences(pool)
-    order = sorted(
-        range(pool.size), key=lambda i: (-scores[i], pool.members[i][0])
-    )
-    positives = [
-        (pool.members[i][0], float(scores[i])) for i in order[: min(s, pool.size)]
-    ]
+    ids = pool.image_ids
+    order = sorted(range(pool.size), key=lambda i: (-scores[i], ids[i]))
+    positives = [(ids[i], float(scores[i])) for i in order[: min(s, pool.size)]]
     negatives = sample_negatives(
         pool, other_pools, t, seed, allow_fewer=allow_fewer_negatives
     )
@@ -176,7 +160,8 @@ def sample_negatives(
     allow_fewer: bool = False,
 ) -> list[tuple[str, str]]:
     """Seeded uniform sample (without replacement) of t images from the
-    union of the other pools, excluding anything in this pool."""
+    union of the other pools, excluding anything in this pool. A pool in
+    other_pools with this pool's concept id is skipped."""
     own = set(pool.image_ids)
     source: dict[str, str] = {}
     for other in other_pools:

@@ -3,11 +3,9 @@ built once per session, plus small builders used across test files."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from conceptbank.config import PipelineConfig
-from conceptbank.encode import FeatureSet
 from conceptbank.fixture import generate_fixture
 from conceptbank.ontology import ConceptBankTree, load_hierarchy
 from conceptbank.pipeline import run_all
@@ -33,13 +31,6 @@ def full_store(corpus_config, tmp_path_factory) -> ModelStore:
     store_root = tmp_path_factory.mktemp("store")
     run_all(corpus_config, store_root)
     return ModelStore(store_root)
-
-
-def feature_set(**channels) -> FeatureSet:
-    """FeatureSet from keyword channel vectors, e.g. feature_set(a=[1, 2])."""
-    return FeatureSet(
-        vectors={ch: np.asarray(v, dtype=np.float64) for ch, v in channels.items()}
-    )
 
 
 def small_tree(events=None, concepts=None) -> ConceptBankTree:

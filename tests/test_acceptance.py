@@ -36,7 +36,6 @@ from conceptbank.retrieve import RankList, fuse, rank_list_from_scores
 from conceptbank.select import ConceptImagePool, kde_confidences
 from conceptbank.semmatch import SimilarityProvider, hierarchical_sim
 
-from conftest import feature_set
 from oracles import ap_precision_at_k, fusion_formula, kde_triple_loop, kkt_residual, qp_minimum
 
 
@@ -142,22 +141,13 @@ def test_criterion_03_density_confidence_equivalence(capsys):
             f"ch{j}": rng.normal(size=(n, int(rng.integers(1, 6)))) * 5.0
             for j in range(m)
         }
-        members = [
-            (f"im-{i}", feature_set(**{ch: mat[i] for ch, mat in channels.items()}))
-            for i in range(n)
-        ]
-        pool = ConceptImagePool("con", members)
+        pool = ConceptImagePool("con", [f"im-{i}" for i in range(n)], channels)
         got = kde_confidences(pool)
-        want = kde_triple_loop(
-            {ch: pool.channel_matrix(ch) for ch in pool.channels}, pool.sigma
-        )
+        want = kde_triple_loop(channels, pool.sigma)
         worst = max(worst, float(np.abs(got - want).max()))
 
     worked = kde_confidences(
-        ConceptImagePool(
-            "con",
-            [(f"im-{i}", feature_set(f=[v])) for i, v in enumerate([0.0, 0.0, 10.0])],
-        )
+        ConceptImagePool("con", ["im-0", "im-1", "im-2"], {"f": np.array([[0.0], [0.0], [10.0]])})
     )
     worked_ok = (
         round(worked[0], 4) == 0.7018
@@ -591,15 +581,15 @@ def test_criterion_10_pyramid_dimensions(capsys):
     dense = DescriptorBlock(
         "t", rng.uniform(0.0, 40.0, size=(200, 2)), rng.normal(size=(200, 5))
     )
-    fs = encode_image({"t": dense}, {"t": codebook}, image_size=(40, 40))
-    dim_ok = fs.dim("t") == 8000 and PYRAMID_BLOCKS == 8
-    hist = fs.vectors["t"].reshape(PYRAMID_BLOCKS, k)
+    vector = encode_image({"t": dense}, {"t": codebook}, image_size=(40, 40))["t"]
+    dim_ok = vector.shape == (8000,) and PYRAMID_BLOCKS == 8
+    hist = vector.reshape(PYRAMID_BLOCKS, k)
     sums = hist.sum(axis=1)
     dense_ok = np.all(np.abs(sums - 1.0) <= 1e-9)
 
     sparse = DescriptorBlock("t", np.array([[5.0, 5.0]]), rng.normal(size=(1, 5)))
-    fs2 = encode_image({"t": sparse}, {"t": codebook}, image_size=(40, 40))
-    hist2 = fs2.vectors["t"].reshape(PYRAMID_BLOCKS, k)
+    vector2 = encode_image({"t": sparse}, {"t": codebook}, image_size=(40, 40))["t"]
+    hist2 = vector2.reshape(PYRAMID_BLOCKS, k)
     sums2 = hist2.sum(axis=1)
     occupied = sums2 > 0
     sparse_ok = (
@@ -610,7 +600,7 @@ def test_criterion_10_pyramid_dimensions(capsys):
     ok = dim_ok and dense_ok and sparse_ok
     announce(
         capsys, 10, ok,
-        f"1000-word codebook -> {fs.dim('t')} dims over {PYRAMID_BLOCKS} blocks; "
+        f"1000-word codebook -> {vector.size} dims over {PYRAMID_BLOCKS} blocks; "
         f"occupied blocks L1-normalized within 1e-9, empty blocks all zero",
     )
     assert dim_ok

@@ -1,25 +1,56 @@
 """The benchmark's span tracer (bench/tracer.py) patches the methods its
-METHODS table names. A method renamed or removed here makes every traced
-benchmark run fail, so this checks each name against the program."""
+METHODS table names, and every public function of the package; its
+per-layer metrics (BENCHMARK.json) read those spans by name. A method or
+function renamed or removed here makes every traced benchmark run fail,
+so this checks each name against the program."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
+import json
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
-def test_every_traced_method_exists_on_its_class(monkeypatch):
+def _traced_methods(monkeypatch) -> tuple:
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
     spec.loader.exec_module(module)
-    methods = module.METHODS
+    return module.METHODS
+
+
+def test_every_traced_method_exists_on_its_class(monkeypatch):
+    methods = _traced_methods(monkeypatch)
     assert methods
     for module_name, class_name, method, _span in methods:
         cls = getattr(importlib.import_module(f"conceptbank.{module_name}"), class_name)
         assert method in cls.__dict__, f"{module_name}.{class_name}.{method}"
+
+
+def test_every_per_layer_span_name_exists_in_the_package(monkeypatch):
+    spans = {span for *_, span in _traced_methods(monkeypatch)}
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    checked = 0
+    for metric in metrics:
+        parts = metric.split(".")
+        if len(parts) != 3 or parts[2] not in ("calls", "self_s"):
+            continue
+        module_name, name, _field = parts
+        if importlib.util.find_spec(f"conceptbank.{module_name}") is None:
+            continue
+        if f"{module_name}.{name}" in spans:
+            checked += 1
+            continue
+        module = importlib.import_module(f"conceptbank.{module_name}")
+        fn = getattr(module, name, None)
+        assert not name.startswith("_") and inspect.isfunction(fn), metric
+        assert fn.__module__ == module.__name__, metric
+        checked += 1
+    assert checked

@@ -16,7 +16,6 @@ from conceptbank.encode import (
     PYRAMID_GRIDS,
     Codebook,
     DescriptorBlock,
-    FeatureSet,
     builtin_descriptors,
     encode_from_path,
     encode_image,
@@ -117,7 +116,7 @@ def test_single_patch_hits_one_block_per_level():
         fs = encode_image(
             {"t": one_patch_block(x, y, [0.0])}, {"t": cb}, image_size=(100, 100)
         )
-        v = fs.vectors["t"].reshape(PYRAMID_BLOCKS, 2)
+        v = fs["t"].reshape(PYRAMID_BLOCKS, 2)
         expect = np.zeros((PYRAMID_BLOCKS, 2))
         for b in brute_force_blocks(x, y, 100, 100):
             expect[b, 0] = 1.0  # nearest codeword of [0] is center 0
@@ -134,8 +133,8 @@ def test_dimension_and_block_normalization():
     )
     cb = unit_codebook(rng.normal(size=(4, 3)))
     fs = encode_image({"t": block}, {"t": cb}, image_size=(100, 100))
-    assert fs.dim("t") == PYRAMID_BLOCKS * 4
-    per_block = fs.vectors["t"].reshape(PYRAMID_BLOCKS, 4).sum(axis=1)
+    assert fs["t"].shape == (PYRAMID_BLOCKS * 4,)
+    per_block = fs["t"].reshape(PYRAMID_BLOCKS, 4).sum(axis=1)
     for s in per_block:
         assert s == pytest.approx(1.0, abs=1e-9) or s == 0.0
 
@@ -154,7 +153,7 @@ def test_encoding_ignores_patch_order():
         {"t": cb},
         image_size=(100, 100),
     )
-    assert np.array_equal(a.vectors["t"], b.vectors["t"])
+    assert np.array_equal(a["t"], b["t"])
 
 
 def test_encode_rejects_empty_blocks_and_unknown_channels():
@@ -202,11 +201,13 @@ def test_batch_encoding_matches_encoding_each_image_alone(seed, counts, k, soft_
     images = [random_image(rng, n, w, h, dims) for n, (w, h) in zip(counts, sizes)]
     # the batch sees each image's patches in another order than the single encode
     batch = encode_images([shuffled(b, rng) for b in images], books, sizes, soft_k)
-    for fs, blocks, size in zip(batch, images, sizes):
+    assert list(batch) == ["b", "a"]
+    assert [m.shape for m in batch.values()] == [(len(counts), PYRAMID_BLOCKS * k)] * 2
+    for i, (blocks, size) in enumerate(zip(images, sizes)):
         alone = encode_image(blocks, books, size, soft_k)
-        assert fs.channels == alone.channels == ["b", "a"]
-        for ch in fs.channels:
-            assert np.array_equal(fs.vectors[ch], alone.vectors[ch])
+        assert list(alone) == ["b", "a"]
+        for ch, matrix in batch.items():
+            assert np.array_equal(matrix[i], alone[ch])
 
 
 def test_batch_encoding_splits_rows_into_bounded_soft_assign_calls(monkeypatch):
@@ -226,13 +227,14 @@ def test_batch_encoding_splits_rows_into_bounded_soft_assign_calls(monkeypatch):
     # two calls for the four equal images, one for the oversized one, one for the pair
     assert sorted(rows_per_call) == [6, 2 * third, 2 * third, ASSIGN_ROWS + 5]
     monkeypatch.undo()
-    for fs, blocks in zip(batch, images):
+    for row, blocks in zip(batch["t"], images):
         alone = encode_image(blocks, books, (200.0, 200.0))
-        assert np.array_equal(fs.vectors["t"], alone.vectors["t"])
+        assert np.array_equal(row, alone["t"])
 
 
 def test_batch_encoding_of_no_images_is_empty():
-    assert encode_images([], {"t": unit_codebook([[0.0]])}, []) == []
+    empty = encode_images([], {"t": unit_codebook([[0.0], [1.0]])}, [])
+    assert list(empty) == ["t"] and empty["t"].shape == (0, PYRAMID_BLOCKS * 2)
 
 
 def test_missing_descriptor_file_names_the_file(tmp_path):
@@ -257,9 +259,10 @@ def test_encode_paths_skips_unloadable_images(tmp_path):
         assert isinstance(exc, DataFormatError) and path.name in str(exc)
     assert matrices["g"].shape == (2, PYRAMID_BLOCKS * 4)
     for row, path in zip(matrices["g"], kept):
-        assert np.array_equal(row, encode_from_path(path, books).vectors["g"])
+        assert np.array_equal(row, encode_from_path(path, books)["g"])
     kept, skipped, matrices = encode_paths(paths[1:2], books)
-    assert kept == [] and len(skipped) == 1 and matrices["g"].size == 0
+    assert kept == [] and len(skipped) == 1
+    assert matrices["g"].shape == (0, PYRAMID_BLOCKS * 4)
 
 
 def test_encode_paths_reports_empty_or_wrong_dim_descriptor_files(tmp_path):
@@ -330,9 +333,3 @@ def test_builtin_descriptor_values_on_constant_color():
         builtin_descriptors(np.zeros((10, 10, 3), np.uint8), "gray-patch")
     with pytest.raises(PreconditionError):
         builtin_descriptors(img, "no-such-channel")
-
-
-def test_feature_set_accessors():
-    fs = FeatureSet({"a": np.zeros(8), "b": np.ones(16)})
-    assert fs.channels == ["a", "b"]
-    assert fs.dim("b") == 16

@@ -147,6 +147,18 @@ def test_feature_table_loader_rejects_a_corrupt_features_file(full_store, corpus
         assert str(store / "features.cbfh") in capsys.readouterr().err, i
 
 
+def test_an_image_manifest_without_rows_exits_3_naming_it(full_store, corpus_dir, tmp_path, capsys):
+    corpus, store = tmp_path / "corpus", tmp_path / "store"
+    shutil.copytree(corpus_dir[0], corpus)
+    shutil.copytree(full_store.root, store)
+    (corpus / "images.tsv").write_text("# image_id\tevent\tpath\ttags\n", encoding="utf-8")
+    config = corpus / "config.json"
+    assert run_cli("run", "--store", tmp_path / "fresh", "--config", config) == 3
+    assert str(corpus / "images.tsv") in capsys.readouterr().err
+    assert run_cli("encode", "--store", store, "--config", config) == 3
+    assert str(corpus / "images.tsv") in capsys.readouterr().err
+
+
 def _json_edit(change):
     def corrupt(path):
         doc = json.loads(path.read_text())

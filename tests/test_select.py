@@ -13,15 +13,12 @@ from conceptbank.select import (
     select_training_set,
 )
 
-from conftest import feature_set
 from oracles import kde_triple_loop
 
 
 def pool_1d(values, concept_id="con", prefix="con"):
-    members = [
-        (f"{prefix}-{i:03d}", feature_set(f=[float(v)])) for i, v in enumerate(values)
-    ]
-    return ConceptImagePool(concept_id, members)
+    ids = [f"{prefix}-{i:03d}" for i in range(len(values))]
+    return ConceptImagePool(concept_id, ids, {"f": np.reshape(values, (-1, 1))})
 
 
 def test_sigma_is_mean_pairwise_distance():
@@ -48,18 +45,9 @@ def test_confidences_match_literal_triple_loop():
     rng = np.random.default_rng(21)
     for _ in range(20):
         n = int(rng.integers(2, 9))
-        members = [
-            (
-                f"im-{i}",
-                feature_set(
-                    a=rng.normal(size=3), b=rng.normal(size=2), c=rng.normal(size=4)
-                ),
-            )
-            for i in range(n)
-        ]
-        pool = ConceptImagePool("con", members)
+        features = {ch: rng.normal(size=(n, d)) for ch, d in (("a", 3), ("b", 2), ("c", 4))}
+        pool = ConceptImagePool("con", [f"im-{i}" for i in range(n)], features)
         got = kde_confidences(pool)
-        features = {ch: pool.channel_matrix(ch) for ch in pool.channels}
         want = kde_triple_loop(features, pool.sigma)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -92,9 +80,7 @@ def test_ranking_is_scale_invariant():
 
 
 def other(concept_id, ids):
-    return ConceptImagePool(
-        concept_id, [(i, feature_set(f=[0.0])) for i in ids]
-    )
+    return ConceptImagePool(concept_id, ids, {"f": np.zeros((len(ids), 1))})
 
 
 def test_selection_orders_by_confidence_then_id():
@@ -140,10 +126,7 @@ def test_negative_sampling_is_seeded_and_guards_shortfall():
 
 def test_pool_guards():
     with pytest.raises(PreconditionError, match="empty pool"):
-        ConceptImagePool("c", [])
-    mixed = [("a", feature_set(f=[0.0])), ("b", feature_set(g=[0.0]))]
-    with pytest.raises(PreconditionError, match="channel mismatch"):
-        ConceptImagePool("c", mixed)
-    ragged = [("a", feature_set(f=[0.0])), ("b", feature_set(f=[0.0, 1.0]))]
-    with pytest.raises(PreconditionError, match="dim mismatch"):
-        ConceptImagePool("c", ragged).channel_matrix("f")
+        ConceptImagePool("c", [], {"f": np.zeros((0, 1))})
+    for bad in (np.zeros((3, 1)), np.zeros(2), np.zeros((2, 1, 1))):
+        with pytest.raises(PreconditionError, match="pool c: channel g is"):
+            ConceptImagePool("c", ["a", "b"], {"f": np.zeros((2, 1)), "g": bad})
