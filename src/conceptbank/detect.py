@@ -57,13 +57,16 @@ class KernelSpec:
 
 
 def chi2_distances(x: np.ndarray, z: np.ndarray, eps: float = 1e-10) -> np.ndarray:
-    """Pairwise chi-square distances sum (x-z)^2 / (x+z+eps), chunked so
-    the (n, m, d) intermediate never exceeds ~10M doubles."""
+    """Pairwise chi-square distances sum (x-z)^2 / (x+z+eps), chunked over
+    rows of z so each (n, block, d) intermediate holds ~250k doubles (at
+    least one row of z). Every entry sums its own contiguous row of d
+    terms, so it does not depend on the block size or on the other rows:
+    a sub-block of the result equals the distances of those rows alone."""
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     n, d = x.shape
     out = np.empty((n, z.shape[0]), dtype=np.float64)
-    block = max(1, int(10_000_000 // max(1, n * d)))
+    block = max(1, int(250_000 // max(1, n * d)))
     for start in range(0, z.shape[0], block):
         zb = z[start : start + block]
         diff = x[:, None, :] - zb[None, :, :]
@@ -72,15 +75,14 @@ def chi2_distances(x: np.ndarray, z: np.ndarray, eps: float = 1e-10) -> np.ndarr
     return out
 
 
-def mean_chi2_bandwidth(x: np.ndarray) -> float:
-    """Mean chi-square distance over distinct training pairs; degenerate
-    data (a single point, or all points equal) falls back to 1.0."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] < 2:
+def mean_chi2_bandwidth(dist: np.ndarray) -> float:
+    """Mean chi-square distance over distinct training pairs, from the
+    (n, n) matrix chi2_distances(x, x); degenerate data (a single point,
+    or all points equal) falls back to 1.0."""
+    n = dist.shape[0]
+    if n < 2:
         return 1.0
-    d = chi2_distances(x, x)
-    iu = np.triu_indices(x.shape[0], k=1)
-    mean = float(d[iu].mean())
+    mean = float(dist[np.triu_indices(n, k=1)].mean())
     return mean if mean > 0 else 1.0
 
 
@@ -163,6 +165,8 @@ class DetectorModel:
     platt: tuple[float, float] = (-1.0, 0.0)
     objective: float = field(default=0.0, compare=False)
     history: list[float] = field(default_factory=list, compare=False)
+    # positions of the support set among the training rows; not stored
+    support_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp), compare=False)
 
     def weights(self) -> dict[str, np.ndarray]:
         """A linear model folded into one primal weight vector per channel,
@@ -333,10 +337,11 @@ def _smo(
     grad = q @ alpha - 1.0 if alpha0 is not None else -np.ones(n)
     pos = y > 0
     diag = np.diag(q).copy()
+    # up / low: who may move up / down along y; only alpha[i], alpha[j] change per update
+    up = (pos & (alpha < c - _TAU)) | (~pos & (alpha > _TAU))
+    low = (~pos & (alpha < c - _TAU)) | (pos & (alpha > _TAU))
     for _ in range(max(20_000, 50 * n) if max_iter is None else max_iter):
         vals = -y * grad
-        up = (pos & (alpha < c - _TAU)) | (~pos & (alpha > _TAU))
-        low = (~pos & (alpha < c - _TAU)) | (pos & (alpha > _TAU))
         if not up.any() or not low.any():
             break
         vi = np.where(up, vals, -np.inf)
@@ -382,6 +387,9 @@ def _smo(
                 if ai < 0:
                     ai, aj = 0.0, total
         alpha[i], alpha[j] = ai, aj
+        for k in (i, j):
+            below_c, above_0 = alpha[k] < c - _TAU, alpha[k] > _TAU
+            up[k], low[k] = (below_c, above_0) if pos[k] else (above_0, below_c)
         grad += q[:, i] * (ai - old_i) + q[:, j] * (aj - old_j)
     else:
         warnings.warn(
@@ -394,8 +402,6 @@ def _smo(
     if free.any():
         bias = float(vals[free].mean())
     else:
-        up = (pos & (alpha < c - _TAU)) | (~pos & (alpha > _TAU))
-        low = (~pos & (alpha < c - _TAU)) | (pos & (alpha > _TAU))
         hi = vals[up].max() if up.any() else 0.0
         lo = vals[low].min() if low.any() else 0.0
         bias = float((hi + lo) / 2.0)
@@ -445,6 +451,7 @@ def train_mklsvm(
                 break
 
     sv = alpha > 1e-8
+    rows = np.nonzero(sv)[0]
     ids = problem.image_ids or [f"x{k:06d}" for k in range(n)]
     channels = problem.channels or [f"ch{m}" for m in range(problem.m)]
     features = problem.features or {}
@@ -456,11 +463,12 @@ def train_mklsvm(
         alpha=alpha[sv],
         support_labels=y[sv],
         bias=bias,
-        support_ids=[ids[k] for k in np.nonzero(sv)[0]],
+        support_ids=[ids[k] for k in rows],
         support_features={c: np.asarray(f)[sv] for c, f in features.items()},
         kernels=kernels,
         objective=best,
         history=history,
+        support_rows=rows,
     )
 
 

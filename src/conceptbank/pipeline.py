@@ -188,13 +188,13 @@ def _load_reps(store: ModelStore, split: str) -> list[videorep.VideoRepresentati
 def _video_labels(
     config: PipelineConfig, tree: ConceptBankTree, split_path: Path
 ) -> dict[str, str]:
-    """video id -> event id, from a manifest's label column."""
-    labels = {}
-    for entry in videorep.load_video_manifest(split_path):
-        if entry.label is None:
-            continue
-        labels[entry.video_id] = tree.event_by_name(entry.label).id
-    return labels
+    """video id -> event id, from a manifest's label column; the frame
+    directories are not listed again (represent already did)."""
+    return {
+        video_id: tree.event_by_name(label).id
+        for video_id, label, _frames in videorep.video_manifest_rows(split_path)
+        if label is not None
+    }
 
 
 def _sorted_events(tree: ConceptBankTree):

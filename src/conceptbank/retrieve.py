@@ -11,7 +11,11 @@ training labels by construction.
 Supervised: a one-vs-all SVM with chi-square kernel over concatenated
 plan representations, hyperparameters picked by seeded 2-fold
 cross-validation on AP, probabilities calibrated on the held-out fold
-scores.
+scores. The chi-square distances between an event's training videos
+are computed once; the bandwidth, every fold's Gram matrix and every
+held-out kernel are taken from that one matrix. Each distance depends
+on its own pair of rows alone, so these equal the kernels computed on
+the fold's rows, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .detect import (
     DetectorTrainingProblem,
     DetectorModel,
     KernelSpec,
+    chi2_distances,
     compute_kernel,
     fit_platt,
     mean_chi2_bandwidth,
@@ -185,6 +190,26 @@ def _stratified_folds(
     return np.nonzero(fold == 0)[0], np.nonzero(fold == 1)[0]
 
 
+def _train_fold(
+    dist: np.ndarray,
+    y: np.ndarray,
+    tr_idx: np.ndarray,
+    te_idx: np.ndarray,
+    c: float,
+    bandwidth: float,
+    gamma: float,
+    tol: float,
+    event_id: str,
+) -> tuple[DetectorModel, np.ndarray]:
+    """A chi2 SVM trained on rows tr_idx, and its raw scores on rows
+    te_idx, with both kernels taken from dist = chi2_distances(x, x)."""
+    gram = np.exp(-dist[np.ix_(tr_idx, tr_idx)] / bandwidth)
+    problem = DetectorTrainingProblem(gram=[gram], labels=y[tr_idx], C=c, gamma=gamma)
+    model = train_mklsvm(problem, tol=tol, concept_id=event_id)
+    k = np.exp(-dist[np.ix_(te_idx, tr_idx[model.support_rows])] / bandwidth)
+    return model, k @ (model.alpha * model.support_labels) + model.bias
+
+
 def train_event_detector(
     event_id: str,
     reps: Sequence[VideoRepresentation],
@@ -213,7 +238,8 @@ def train_event_detector(
     if n_pos == 0 or n_neg == 0:
         raise PreconditionError(f"event {event_id}: one-class training set")
 
-    base_bw = mean_chi2_bandwidth(x)
+    dist = chi2_distances(x, x)
+    base_bw = mean_chi2_bandwidth(dist)
     can_cv = n_pos >= 2 and n_neg >= 2
     if can_cv:
         fold_a, fold_b = _stratified_folds(y, seed)
@@ -221,17 +247,11 @@ def train_event_detector(
         best_params = (1.0, 1.0)
         best_cv = (np.zeros(0), np.zeros(0))
         for grid_pos, (c, scale) in enumerate(itertools.product(C_grid, bandwidth_scales)):
-            spec = KernelSpec("chi2", bandwidth=base_bw * scale)
             cv_scores = np.empty(y.size)
             for tr_idx, te_idx in ((fold_a, fold_b), (fold_b, fold_a)):
-                gram = compute_kernel(x[tr_idx], x[tr_idx], spec)
-                problem = DetectorTrainingProblem(
-                    gram=[gram], labels=y[tr_idx], C=c, gamma=gamma,
-                    channels=["rep"], features={"rep": x[tr_idx]},
-                    kernels={"rep": spec},
-                )
-                model = train_mklsvm(problem, tol=tol, concept_id=event_id)
-                cv_scores[te_idx] = model.raw_score_matrix({"rep": x[te_idx]})
+                cv_scores[te_idx] = _train_fold(
+                    dist, y, tr_idx, te_idx, c, base_bw * scale, gamma, tol, event_id
+                )[1]
             ap = ap_from_arrays(cv_scores, y > 0)
             key = (ap, -grid_pos)
             if best is None or key > best:

@@ -116,16 +116,16 @@ def recount(
     return pairs[: max(0, k)]
 
 
-def load_video_manifest(path: str | Path) -> list[VideoManifestEntry]:
-    """TSV rows: video_id, event label or '-', frame directory or a
-    ';'-separated frame list. Paths resolve relative to the manifest."""
+def video_manifest_rows(path: str | Path) -> list[tuple[str, str | None, str]]:
+    """(video_id, event label or None, frames field) per TSV row of a
+    video manifest, with the field count and video ids checked; the
+    frames field is not resolved."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise DataFormatError(f"cannot read video manifest {path}: {exc}") from exc
-    base = path.parent
-    entries: list[VideoManifestEntry] = []
+    rows = []
     seen: set[str] = set()
     for ln, line in enumerate(lines, start=1):
         if not line.strip() or line.startswith("#"):
@@ -141,6 +141,16 @@ def load_video_manifest(path: str | Path) -> list[VideoManifestEntry]:
         if video_id in seen:
             raise DataFormatError(f"{path}:{ln}: duplicate video id {video_id}")
         seen.add(video_id)
+        rows.append((video_id, None if label in ("", "-") else label, frames_field))
+    return rows
+
+
+def load_video_manifest(path: str | Path) -> list[VideoManifestEntry]:
+    """TSV rows: video_id, event label or '-', frame directory or a
+    ';'-separated frame list. Paths resolve relative to the manifest."""
+    base = Path(path).parent
+    entries: list[VideoManifestEntry] = []
+    for video_id, label, frames_field in video_manifest_rows(path):
         if ";" in frames_field:
             frame_paths = [base / p for p in frames_field.split(";") if p]
         else:
@@ -149,13 +159,7 @@ def load_video_manifest(path: str | Path) -> list[VideoManifestEntry]:
                 frame_paths = _frames_in_dir(target)
             else:
                 frame_paths = [target]
-        entries.append(
-            VideoManifestEntry(
-                video_id=video_id,
-                frame_paths=frame_paths,
-                label=None if label in ("", "-") else label,
-            )
-        )
+        entries.append(VideoManifestEntry(video_id, frame_paths, label))
     return entries
 
 

@@ -333,11 +333,35 @@ def test_chi2_kernel_pieces():
     assert d[0, 1] == pytest.approx(d[1, 0])
     # (0.5-1)^2/1.5 + (0.5-0)^2/0.5 = 1/6 + 1/2
     assert d[0, 1] == pytest.approx(1 / 6 + 1 / 2, abs=1e-9)
-    assert mean_chi2_bandwidth(x) == pytest.approx(d[0, 1])
-    assert mean_chi2_bandwidth(x[:1]) == 1.0
+    assert mean_chi2_bandwidth(d) == pytest.approx(d[0, 1])
+    assert mean_chi2_bandwidth(d[:1, :1]) == 1.0
     k = compute_kernel(x, x, KernelSpec("chi2", bandwidth=2.0))
     assert k[0, 1] == pytest.approx(np.exp(-d[0, 1] / 2.0))
     with pytest.raises(PreconditionError, match="bandwidth"):
         compute_kernel(x, x, KernelSpec("chi2"))
     with pytest.raises(PreconditionError, match="unknown kernel"):
         compute_kernel(x, x, KernelSpec("rbf"))
+
+
+@pytest.mark.parametrize("d", [3, 48, 301])
+def test_chi2_distances_of_a_sub_block_equal_the_full_matrix(d):
+    # each entry sums its own row of d terms: neither the other rows nor
+    # the block budget (~250k doubles of z rows per chunk) may change it
+    rng = np.random.default_rng(d)
+    x = rng.uniform(0.0, 1.0, size=(200, d))
+    full = chi2_distances(x, x)  # 200 * d doubles per z row: chunked
+    rows, cols = rng.permutation(200)[:37], np.sort(rng.permutation(200)[:90])
+    assert np.array_equal(full[np.ix_(rows, cols)], chi2_distances(x[rows], x[cols]))
+    for i in (0, 57, 199):  # one x row: z fits in one chunk
+        assert np.array_equal(full[i : i + 1], chi2_distances(x[i : i + 1], x))
+    for j in (0, 131):  # one z row per call
+        assert np.array_equal(full[:, j : j + 1], chi2_distances(x, x[j : j + 1]))
+
+
+def test_chi2_distances_past_the_block_budget_take_one_z_row_per_chunk():
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0.0, 1.0, size=(6_000, 50))  # 300k doubles per z row
+    z = rng.uniform(0.0, 1.0, size=(3, 50))
+    full = chi2_distances(x, z)
+    assert np.array_equal(full[:10], chi2_distances(x[:10], z))
+    assert np.array_equal(full[-4:], chi2_distances(x[-4:], z))

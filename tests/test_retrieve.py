@@ -8,10 +8,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conceptbank.cli import main
+from conceptbank.detect import (
+    DetectorTrainingProblem,
+    KernelSpec,
+    chi2_distances,
+    compute_kernel,
+    mean_chi2_bandwidth,
+    train_mklsvm,
+)
 from conceptbank.errors import DataFormatError, PreconditionError
 from conceptbank.pipeline import run_stage
 from conceptbank.retrieve import (
+    CV_BANDWIDTH_SCALES,
+    CV_C_GRID,
     RankList,
+    _stratified_folds,
+    _train_fold,
     detect_events,
     fuse,
     rank_list_from_scores,
@@ -251,3 +263,26 @@ def test_tiny_event_training_skips_cross_validation():
     det = train_event_detector("evt-0000", reps, {"pos-00"}, seed=0)
     assert det.cv_ap == 0.0  # one positive: CV is impossible, defaults used
     assert det.C == 1.0 and det.bandwidth_scale == 1.0
+
+
+def test_cv_folds_from_the_shared_distance_matrix_are_exact():
+    # 48 concept scores per video, as on the benchmark's video-index run
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 1.0, size=(60, 48))
+    y = np.where(x[:, 0] + 0.3 * rng.normal(size=60) > 0.5, 1.0, -1.0)
+    dist = chi2_distances(x, x)
+    base_bw = mean_chi2_bandwidth(dist)
+    folds = _stratified_folds(y, seed=4)
+    for c in CV_C_GRID:
+        for scale in CV_BANDWIDTH_SCALES:
+            spec = KernelSpec("chi2", bandwidth=base_bw * scale)
+            for tr, te in (folds, folds[::-1]):
+                shared, scores = _train_fold(dist, y, tr, te, c, spec.bandwidth, 0.0, 1e-4, "e")
+                problem = DetectorTrainingProblem(
+                    gram=[compute_kernel(x[tr], x[tr], spec)], labels=y[tr], C=c, gamma=0.0,
+                    channels=["rep"], features={"rep": x[tr]}, kernels={"rep": spec},
+                )
+                direct = train_mklsvm(problem, tol=1e-4, concept_id="e")
+                assert np.array_equal(shared.alpha, direct.alpha)
+                assert shared.bias == direct.bias
+                assert np.array_equal(scores, direct.raw_score_matrix({"rep": x[te]}))
