@@ -16,6 +16,7 @@ external feature extractor; production channels arrive as CBFV files.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -152,11 +153,20 @@ def soft_assign(
     vectors is (n, dim) or a stack (images, n, dim). Returns (indices
     (..., k'), weights (..., k')) with weight rows summing to 1. Weights
     are Gaussian in distance with the codebook's soft_sigma; a
-    non-positive sigma degrades to hard assignment.
+    non-positive sigma degrades to hard assignment. Codewords are ranked
+    by (distance, index), exactly as a stable sort of each row ranks them.
     """
     k_eff = min(soft_k, codebook.k)
     d2 = _sq_dists(vectors, codebook.centers)
-    idx = np.argsort(d2, axis=-1, kind="stable")[..., :k_eff]
+    pick = np.argpartition(d2, k_eff - 1, axis=-1)[..., :k_eff]
+    near = np.take_along_axis(d2, pick, axis=-1)
+    idx = np.take_along_axis(pick, np.lexsort((pick, near), axis=-1), axis=-1)
+    # The pick holds every distance below the k-th one, but which of the
+    # distances equal to it is arbitrary. Rows whose k-th distance recurs
+    # past the cut (or is NaN) take the first k of a stable sort instead.
+    cut = np.count_nonzero(d2 <= near.max(axis=-1, keepdims=True), axis=-1) != k_eff
+    if cut.any():
+        idx[cut] = np.argsort(d2[cut], axis=-1, kind="stable")[:, :k_eff]
     near = np.take_along_axis(d2, idx, axis=-1)
     sigma = codebook.soft_sigma
     if sigma > 0:
@@ -299,10 +309,10 @@ def builtin_descriptors(pixels: np.ndarray, channel: str) -> DescriptorBlock:
 def load_descriptors(image_path: str | Path, channel: str) -> DescriptorBlock:
     """Descriptors for one image and channel: computed from a .ppm raster
     for builtin channels, otherwise read from <stem>.<channel>.cbfv."""
-    image_path = Path(image_path)
-    if image_path.suffix == ".ppm":
+    image_path = os.fspath(image_path)  # a str: no Path parse per frame
+    if os.path.splitext(image_path)[1] == ".ppm":
         return builtin_descriptors(read_ppm(image_path), channel)
-    positions, vectors = read_cbfv(image_path.parent / f"{image_path.name}.{channel}.cbfv")
+    positions, vectors = read_cbfv(f"{image_path}.{channel}.cbfv")
     return DescriptorBlock(channel=channel, grid_positions=positions, vectors=vectors)
 
 
@@ -329,22 +339,41 @@ def encode_paths(
     failed to load or have no patches or another dim than the codebook's,
     {channel: (kept images x dim) histograms}).
     """
+    (part,) = encode_path_groups([paths], codebooks, soft_k)
+    return part
+
+
+def encode_path_groups(
+    groups: list[list], codebooks: dict[str, Codebook], soft_k: int = 5
+) -> list[tuple[list, list[tuple[object, Exception]], dict[str, np.ndarray]]]:
+    """encode_paths for each group of paths, all in one encode_images
+    batch. A group's matrices are views of the batch's rows, which are
+    bit for bit those of encoding the group alone; a path named twice is
+    loaded and encoded twice."""
     if not codebooks:
         raise PreconditionError("no channels configured")
-    kept, bad, loaded = [], [], []
-    for path in paths:
-        try:
-            blocks = {ch: load_descriptors(path, ch) for ch in codebooks}
-            for ch, block in blocks.items():
-                (n, dim), want = block.vectors.shape, codebooks[ch].centers.shape[1]
-                if not n or dim != want:
-                    raise DataFormatError(
-                        f"{path}.{ch}.cbfv: {n} patches of dim {dim}, codebook dim {want}"
-                    )
-        except (DataFormatError, PreconditionError) as exc:
-            bad.append((path, exc))
-        else:
-            kept.append(path)
-            loaded.append(blocks)
+    parts, loaded = [], []
+    for paths in groups:
+        kept, bad = [], []
+        for path in paths:
+            try:
+                blocks = {ch: load_descriptors(path, ch) for ch in codebooks}
+                for ch, block in blocks.items():
+                    (n, dim), want = block.vectors.shape, codebooks[ch].centers.shape[1]
+                    if not n or dim != want:
+                        raise DataFormatError(
+                            f"{path}.{ch}.cbfv: {n} patches of dim {dim}, codebook dim {want}"
+                        )
+            except (DataFormatError, PreconditionError) as exc:
+                bad.append((path, exc))
+            else:
+                kept.append(path)
+                loaded.append(blocks)
+        parts.append((kept, bad))
     sizes = [infer_image_size(next(iter(b.values())).grid_positions) for b in loaded]
-    return kept, bad, encode_images(loaded, codebooks, sizes, soft_k)
+    matrices = encode_images(loaded, codebooks, sizes, soft_k)
+    out, row = [], 0
+    for kept, bad in parts:
+        out.append((kept, bad, {ch: m[row : row + len(kept)] for ch, m in matrices.items()}))
+        row += len(kept)
+    return out

@@ -55,7 +55,8 @@ def write_cbfv(path: str | Path, positions: np.ndarray, vectors: np.ndarray) -> 
 
 
 def read_cbfv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (positions (n,2) float64, vectors (n,dim) float64)."""
+    """Returns (positions (n,2) float64, vectors (n,dim) float64), column
+    views of one converted array."""
     data = _read_bytes(path)
     if data[:4] != b"CBFV" or len(data) < 16:
         raise DataFormatError(f"not a CBFV file: {path}")
@@ -65,8 +66,9 @@ def read_cbfv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     expected = 16 + count * (2 + dim) * 4
     if len(data) != expected:
         raise DataFormatError(f"truncated CBFV file: {path}")
-    records = np.frombuffer(data, dtype="<f4", offset=16).reshape(count, 2 + dim)
-    return records[:, :2].astype(np.float64), records[:, 2:].astype(np.float64)
+    records = np.frombuffer(data, dtype="<f4", offset=16).astype(np.float64)
+    records = records.reshape(count, 2 + dim)
+    return records[:, :2], records[:, 2:]
 
 
 def write_cbfh(path: str | Path, image_ids: list[str], channels: dict[str, np.ndarray]) -> None:
@@ -283,6 +285,7 @@ def read_ppm(path: str | Path) -> np.ndarray:
 
 def _read_bytes(path: str | Path) -> bytes:
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc

@@ -9,10 +9,12 @@ hash, writes only files that no other stage writes, and rewrites
 byte-identical outputs when re-run on unchanged inputs. So ontology.json
 stays the bare hierarchy, and _concept_tree derives the verified concept
 bank from it, candidates.json and reports/visualness.json for the
-stages that need concepts. Independent per-concept / per-image / per-video
-work is sharded over a thread pool; every merge happens in a fixed
-order and every random draw uses a seed derived from the config, so the
-store's bytes do not depend on the worker count.
+stages that need concepts. Independent per-concept / per-event / per-image
+work, and the represent stage's chunks of videos, are sharded over a
+thread pool. Chunks have a fixed size, a batch encodes each image bit
+for bit as if alone, every merge happens in a fixed order and every
+random draw uses a seed derived from the config, so the store's bytes
+do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .retrieve import detect_events, train_event_detector, zero_shot_retrieve
 from .store import ModelStore
 
 ENCODE_CHUNK = 64  # images per encode batch; fixed, so batches never depend on workers
+REPRESENT_CHUNK = 256  # sampled frames per represent batch, in whole videos; fixed likewise
 
 
 def _pmap(fn: Callable, items: Iterable, workers: int) -> list:
@@ -495,9 +498,17 @@ def _stage_represent(config: PipelineConfig, store: ModelStore, workers: int) ->
     layout = _layout(store, tree)
     books = _codebooks(store, config)
     bank = _detector_bank(store, books).take(list(dict.fromkeys(layout)))
+    m = config.m_frames
 
-    def encoder(paths: list[Path]) -> tuple[list, list, dict[str, np.ndarray]]:
-        return encode.encode_paths(paths, books, soft_k=config.soft_k)
+    def job(chunk: list[videorep.VideoManifestEntry]) -> list[videorep.VideoRepresentation]:
+        # one encode pass over the chunk's sampled frames; each video's
+        # encoder returns its own share of it
+        samples = [videorep.sample_frames(entry.frame_paths, m) for entry in chunk]
+        parts = encode.encode_path_groups(samples, books, config.soft_k)
+        return [
+            videorep.represent(entry, layout, bank, lambda _frames, part=part: part, m=m)
+            for entry, part in zip(chunk, parts)
+        ]
 
     report = {}
     for split, field in (("train", "video_manifest_train"), ("test", "video_manifest_test")):
@@ -505,11 +516,14 @@ def _stage_represent(config: PipelineConfig, store: ModelStore, workers: int) ->
         if not manifest.exists():
             report[split] = 0
             continue
-        reps = _pmap(
-            lambda entry: videorep.represent(entry, layout, bank, encoder, m=config.m_frames),
-            videorep.load_video_manifest(manifest),
-            workers,
-        )
+        chunks, filled = [], REPRESENT_CHUNK
+        for entry in videorep.load_video_manifest(manifest):
+            if filled >= REPRESENT_CHUNK:
+                chunks.append([])
+                filled = 0
+            chunks[-1].append(entry)
+            filled += min(len(entry.frame_paths), m)  # as many as sample_frames keeps
+        reps = [rep for part in _pmap(job, chunks, workers) for rep in part]
         reps.sort(key=lambda rep: rep.video_id)
         ids, frames = [rep.video_id for rep in reps], [rep.frames_used for rep in reps]
         header = {"split": split, "video_ids": ids, "concept_ids": layout, "frames_used": frames}

@@ -75,9 +75,12 @@ def represent(
 ) -> VideoRepresentation:
     """Average-pooled calibrated concept scores over m sampled frames.
 
-    encoder batch-encodes the sampled frames like encode.encode_paths.
-    Frames it skips are warned about; the video errors out only when no
-    frame survives.
+    encoder gets the sampled frames and returns, like encode.encode_paths,
+    the frames it kept, (frame, error) pairs for those it skipped and one
+    (kept frames x dim) matrix per channel; the represent stage's encoder
+    returns the video's share of one encode.encode_path_groups pass over
+    a chunk of videos. Skipped frames are warned about; the video errors
+    out only when no frame survives.
     """
     columns = bank.columns(concept_ids)
     kept, skipped, stacked = encoder(sample_frames(entry.frame_paths, m))

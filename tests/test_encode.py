@@ -94,6 +94,50 @@ def test_soft_assign_zero_sigma_is_hard():
     assert w[0, 0] == 1.0 and w[0, 1] == 0.0 and idx[0, 0] == 0
 
 
+def stable_sort_soft_assign(vectors, codebook, soft_k):
+    """soft_assign as a full stable sort of each row picks its codewords."""
+    d2 = encode._sq_dists(vectors, codebook.centers)
+    idx = np.argsort(d2, axis=-1, kind="stable")[..., :soft_k]
+    near = np.take_along_axis(d2, idx, axis=-1)
+    sigma = codebook.soft_sigma
+    if sigma > 0:
+        w = np.exp(-(near - near[..., :1]) / (2.0 * sigma * sigma))
+    else:
+        w = np.zeros_like(near)
+        w[..., 0] = 1.0
+    return idx, w / w.sum(axis=-1, keepdims=True)
+
+
+def test_soft_assign_matches_a_stable_sort_across_planted_ties():
+    # integer centers and vectors on a small grid tie distances often,
+    # also across the soft_k cut
+    rng = np.random.default_rng(23)
+    cut_ties = 0
+    for case in range(300):
+        k, dim = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+        centers = rng.integers(-2, 3, size=(k, dim)).astype(float)
+        shape = (int(rng.integers(1, 30)), dim) if case % 2 else (3, int(rng.integers(1, 10)), dim)
+        vectors = rng.integers(-2, 3, size=shape).astype(float)
+        soft_k = int(rng.integers(1, k + 3))  # soft_k >= k in about a quarter of cases
+        book = Codebook("t", centers, 0, float(rng.choice([1.0, 0.3, 0.0, -1.0])))
+        idx, w = soft_assign(vectors, book, soft_k)
+        ref_idx, ref_w = stable_sort_soft_assign(vectors, book, min(soft_k, k))
+        assert idx.shape == ref_idx.shape and np.array_equal(idx, ref_idx)
+        assert np.array_equal(w, ref_w)
+        if soft_k < k:
+            d2 = np.sort(encode._sq_dists(vectors, centers), axis=-1)
+            cut_ties += int(np.count_nonzero(d2[..., soft_k - 1] == d2[..., soft_k]))
+    assert cut_ties > 500  # rows whose soft_k-th and next distances tie
+    # a NaN distance sorts last, as in the stable sort
+    vectors = rng.normal(size=(4, 3))
+    vectors[1, 0] = np.nan
+    book = Codebook("t", rng.normal(size=(6, 3)), 0, 1.0)
+    with np.errstate(invalid="ignore"):
+        idx, w = soft_assign(vectors, book, 2)
+        ref_idx, ref_w = stable_sort_soft_assign(vectors, book, 2)
+    assert np.array_equal(idx, ref_idx) and np.array_equal(w, ref_w, equal_nan=True)
+
+
 def one_patch_block(x, y, vec):
     return DescriptorBlock("t", np.array([[x, y]], float), np.array([vec], float))
 
@@ -238,9 +282,17 @@ def test_batch_encoding_of_no_images_is_empty():
 
 
 def test_missing_descriptor_file_names_the_file(tmp_path):
+    rng = np.random.default_rng(4)
+    stem = tmp_path / "frame-001"
+    write_cbfv(f"{stem}.syn-a.cbfv", rng.uniform(5, 35, size=(7, 2)), rng.normal(size=(7, 3)))
+    blocks = [load_descriptors(path, "syn-a") for path in (stem, str(stem))]
+    assert blocks[0].vectors.shape == (7, 3)
+    for field in ("grid_positions", "vectors"):
+        assert np.array_equal(getattr(blocks[0], field), getattr(blocks[1], field))
     missing = tmp_path / "frame-000.syn-a.cbfv"
-    with pytest.raises(DataFormatError, match=re.escape(str(missing))):
-        load_descriptors(tmp_path / "frame-000", "syn-a")
+    for path in (tmp_path / "frame-000", str(tmp_path / "frame-000")):
+        with pytest.raises(DataFormatError, match=re.escape(str(missing))):
+            load_descriptors(path, "syn-a")
 
 
 def test_encode_paths_skips_unloadable_images(tmp_path):

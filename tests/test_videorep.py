@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import re
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conceptbank import pipeline
+from conceptbank.cli import main
+from conceptbank.config import PipelineConfig
 from conceptbank.detect import DetectorBank, DetectorTrainingProblem, KernelSpec, train_mklsvm
 from conceptbank.encode import PYRAMID_BLOCKS, Codebook, encode_paths
 from conceptbank.errors import DataFormatError, PreconditionError
-from conceptbank.formats import write_cbfv
+from conceptbank.formats import read_cbvr, write_cbfv
 from conceptbank.videorep import (
     VideoManifestEntry,
     VideoRepresentation,
@@ -15,6 +21,7 @@ from conceptbank.videorep import (
     recount,
     represent,
     sample_frames,
+    video_manifest_rows,
 )
 
 
@@ -168,6 +175,69 @@ def test_represent_skips_a_bad_middle_frame(tmp_path):
     alone = represent(good, ["con-a"], det, encoder, m=3)
     assert rep.frames_used == alone.frames_used == 2
     assert np.array_equal(rep.scores, alone.scores)
+
+
+def store_copy(full_store, corpus_dir, tmp_path):
+    corpus, store = tmp_path / "corpus", tmp_path / "store"
+    shutil.copytree(corpus_dir[0], corpus)
+    shutil.copytree(full_store.root, store)
+    return corpus, store, PipelineConfig.from_file(corpus / "config.json")
+
+
+def test_represent_stage_bytes_do_not_depend_on_the_chunk_size(
+    full_store, corpus_dir, tmp_path, monkeypatch
+):
+    corpus, store, config = store_copy(full_store, corpus_dir, tmp_path)
+    a, b = "videos/vid-e0-te-020/f00", "videos/vid-e0-te-021/f01"
+    with config.path("video_manifest_test").open("a", encoding="utf-8") as fh:
+        for video_id, frames in (("vid-x-a", [a]), ("vid-x-ab", [a, b]), ("vid-x-aba", [a, b, a])):
+            fh.write(f"{video_id}\t-\t{';'.join(frames)}\n")
+    tables = []
+    for frames in (1, 10**6):  # one video per chunk, one chunk per split
+        monkeypatch.setattr(pipeline, "REPRESENT_CHUNK", frames)
+        pipeline.run_stage("represent", config, store)
+        tables.append({p.name: p.read_bytes() for p in (store / "representations").iterdir()})
+    assert sorted(tables[0]) == ["test.cbvr", "train.cbvr"]
+    assert tables[0] == tables[1]
+    header, scores = read_cbvr(store / "representations" / "test.cbvr")
+    row = {vid: i for i, vid in enumerate(header["video_ids"])}
+    one, pair, twice = (row[v] for v in ("vid-x-a", "vid-x-ab", "vid-x-aba"))
+    # the repeated frame keeps both of its rows: mean(a, b, a) = (a + 2 mean(a, b)) / 3
+    assert [header["frames_used"][i] for i in (one, pair, twice)] == [1, 2, 3]
+    assert np.allclose(scores[twice], (scores[one] + 2 * scores[pair]) / 3, atol=1e-6)
+    assert not np.allclose(scores[twice], scores[pair], atol=1e-6)
+
+
+def test_a_bad_frame_inside_a_chunk_shifts_no_other_video(
+    full_store, corpus_dir, tmp_path, capsys, monkeypatch
+):
+    corpus, store, config = store_copy(full_store, corpus_dir, tmp_path)
+    clean_header, clean = read_cbvr(store / "representations" / "test.cbvr")
+    ids = clean_header["video_ids"]
+    # chunks of three videos; the fifth video of the manifest is the middle of the second
+    monkeypatch.setattr(pipeline, "REPRESENT_CHUNK", 3 * config.m_frames)
+    rows = video_manifest_rows(config.path("video_manifest_test"))
+    middle = ids.index(rows[4][0])
+    victim = corpus / rows[4][2]
+    assert len(list(victim.glob("f*.cbfv"))) == len(config.channels) * config.m_frames
+    (victim / f"f01.{config.channels[0]}.cbfv").write_bytes(b"CBFV")  # truncated
+    frame = re.escape(str(victim / "f01"))
+    with pytest.warns(UserWarning, match=f"video {ids[middle]}: skipping frame {frame}"):
+        pipeline.run_stage("represent", config, store)
+    header, scores = read_cbvr(store / "representations" / "test.cbvr")
+    assert header["video_ids"] == ids
+    assert header["frames_used"][middle] == clean_header["frames_used"][middle] - 1
+    others = [i for i in range(len(ids)) if i != middle]
+    assert np.array_equal(scores[others], clean[others])
+    assert [header["frames_used"][i] for i in others] == [clean_header["frames_used"][i] for i in others]
+    assert not np.array_equal(scores[middle], clean[middle])
+
+    for path in victim.glob("*.cbfv"):
+        path.write_bytes(b"CBFV")
+    argv = ["represent", "--store", str(store), "--config", str(corpus / "config.json")]
+    with pytest.warns(UserWarning, match="skipping frame"):
+        assert main(argv) == 3
+    assert f"video {ids[middle]}: no usable frames" in capsys.readouterr().err
 
 
 def test_represent_requires_detectors_for_the_plan():
