@@ -31,6 +31,16 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
+def _worker_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _emit(report: dict) -> None:
     print(json.dumps(report, sort_keys=True, indent=2))
 
@@ -105,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="override the config base seed (changes the config hash)",
         )
         sp.add_argument(
-            "--workers", type=int, default=1, help="parallel worker threads"
+            "--workers", type=_worker_count, default=1, help="parallel worker threads (>= 1)"
         )
         sp.add_argument(
             "--force",

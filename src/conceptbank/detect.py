@@ -19,6 +19,13 @@ moves beta along the reduced gradient and projects back onto the
 simplex, accepting only steps that lower the inner optimum. The tracked
 objective is therefore non-increasing.
 
+Two drivers run that one working-set rule and share its pair update:
+_smo solves one dual (warm-started inside the MKL loop), and
+_smo_lockstep solves a stack of independent cold-started duals of one
+size side by side, one pair step per running problem per round, so a
+batch of small solves pays NumPy's call overhead once per round rather
+than once per problem. Each of its results is bit for bit _smo's.
+
 Raw margins are mapped to probabilities by a Platt sigmoid fitted on
 held-out scores. A linear detector folds into one primal weight vector
 per channel; a DetectorBank stacks those of many concepts, so one
@@ -315,6 +322,65 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
+def _pair_step(opposite, old_i, old_j, g_i, g_j, q_ii, q_jj, q_ij, c):
+    """New (alpha_i, alpha_j) after the pair update along a'y = 0, for
+    labels of opposite or equal sign, clipped to the box [0, C]."""
+    if opposite:
+        quad = q_ii + q_jj + 2.0 * q_ij
+        if quad <= 0:
+            quad = _TAU
+        delta = (-g_i - g_j) / quad
+        diff = old_i - old_j
+        ai, aj = old_i + delta, old_j + delta
+        if diff > 0:
+            if aj < 0:
+                aj, ai = 0.0, diff
+            if ai > c:
+                ai, aj = c, c - diff
+        else:
+            if ai < 0:
+                ai, aj = 0.0, -diff
+            if aj > c:
+                aj, ai = c, c + diff
+    else:
+        quad = q_ii + q_jj - 2.0 * q_ij
+        if quad <= 0:
+            quad = _TAU
+        delta = (g_i - g_j) / quad
+        total = old_i + old_j
+        ai, aj = old_i - delta, old_j + delta
+        if total > c:
+            if ai > c:
+                ai, aj = c, total - c
+            if aj > c:
+                aj, ai = c, total - c
+        else:
+            if aj < 0:
+                aj, ai = 0.0, total
+            if ai < 0:
+                ai, aj = 0.0, total
+    return ai, aj
+
+
+def _smo_result(alpha, grad, y, c, up, low) -> tuple[np.ndarray, float, float]:
+    """(alpha, bias, objective) of one solved dual: the bias averages the
+    free alphas' -y grad (or the midpoint of the violating range)."""
+    vals = -y * grad
+    free = (alpha > _TAU) & (alpha < c - _TAU)
+    if free.any():
+        bias = float(vals[free].mean())
+    else:
+        hi = vals[up].max() if up.any() else 0.0
+        lo = vals[low].min() if low.any() else 0.0
+        bias = float((hi + lo) / 2.0)
+    objective = 0.5 * float(alpha @ grad - alpha.sum())
+    return alpha, bias, objective
+
+
+def _cap_warning(concept_id: str) -> str:
+    return f"SMO iteration cap reached before KKT tolerance ({concept_id or 'unnamed'})"
+
+
 def _smo(
     q: np.ndarray,
     y: np.ndarray,
@@ -352,61 +418,105 @@ def _smo(
         a = np.maximum(diag[i] + diag - 2.0 * y[i] * y * q[i], _TAU)
         j = int(np.argmin(np.where(low & (b > 0), -b * b / a, np.inf)))
         old_i, old_j = alpha[i], alpha[j]
-        if y[i] != y[j]:
-            quad = q[i, i] + q[j, j] + 2.0 * q[i, j]
-            if quad <= 0:
-                quad = _TAU
-            delta = (-grad[i] - grad[j]) / quad
-            diff = old_i - old_j
-            ai, aj = old_i + delta, old_j + delta
-            if diff > 0:
-                if aj < 0:
-                    aj, ai = 0.0, diff
-                if ai > c:
-                    ai, aj = c, c - diff
-            else:
-                if ai < 0:
-                    ai, aj = 0.0, -diff
-                if aj > c:
-                    aj, ai = c, c + diff
-        else:
-            quad = q[i, i] + q[j, j] - 2.0 * q[i, j]
-            if quad <= 0:
-                quad = _TAU
-            delta = (grad[i] - grad[j]) / quad
-            total = old_i + old_j
-            ai, aj = old_i - delta, old_j + delta
-            if total > c:
-                if ai > c:
-                    ai, aj = c, total - c
-                if aj > c:
-                    aj, ai = c, total - c
-            else:
-                if aj < 0:
-                    aj, ai = 0.0, total
-                if ai < 0:
-                    ai, aj = 0.0, total
+        ai, aj = _pair_step(
+            y[i] != y[j], old_i, old_j, grad[i], grad[j], q[i, i], q[j, j], q[i, j], c
+        )
         alpha[i], alpha[j] = ai, aj
         for k in (i, j):
             below_c, above_0 = alpha[k] < c - _TAU, alpha[k] > _TAU
             up[k], low[k] = (below_c, above_0) if pos[k] else (above_0, below_c)
         grad += q[:, i] * (ai - old_i) + q[:, j] * (aj - old_j)
     else:
-        warnings.warn(
-            f"SMO iteration cap reached before KKT tolerance ({concept_id or 'unnamed'})",
-            RuntimeWarning, stacklevel=2,
-        )
+        warnings.warn(_cap_warning(concept_id), RuntimeWarning, stacklevel=2)
+    return _smo_result(alpha, grad, y, c, up, low)
 
-    vals = -y * grad
-    free = (alpha > _TAU) & (alpha < c - _TAU)
-    if free.any():
-        bias = float(vals[free].mean())
-    else:
-        hi = vals[up].max() if up.any() else 0.0
-        lo = vals[low].min() if low.any() else 0.0
-        bias = float((hi + lo) / 2.0)
-    objective = 0.5 * float(alpha @ grad - alpha.sum())
-    return alpha, bias, objective
+
+def _smo_lockstep(
+    qs: np.ndarray,
+    ys: np.ndarray,
+    cs: Sequence[float],
+    tol: float,
+    ids: Sequence[str],
+    max_iter: int | None = None,
+) -> list[tuple[np.ndarray, float, float]]:
+    """_smo, cold-started, on each of a stack of independent duals of one
+    size: qs is (p, n, n), each Q symmetric as train_mklsvm forms it, ys
+    (p, n), cs and ids one per problem.
+
+    Each round makes one pair step on every problem still running, with
+    _smo's working-set choice (same first-index ties), clipping and
+    gradient update row by row, and each result comes from the problem's
+    own row; so every (alpha, bias, objective) is bit for bit that of
+    _smo on the problem alone. A problem leaves the round when it meets
+    tol, or after max_iter steps (default max(20000, 50 n)) with a
+    warning naming its id.
+    """
+    if not tol > 0:
+        raise PreconditionError(f"SMO tolerance must be > 0, got {tol}")
+    ys = np.asarray(ys, dtype=np.float64)
+    if not len(ys):
+        return []
+    p, n = ys.shape
+    cap = max(20_000, 50 * n) if max_iter is None else max_iter
+    out: list = [None] * p
+    # one row per running problem; rows leave as their problems finish
+    live = np.arange(p)  # stack position of each row
+    y, neg_y, c = ys, -ys, np.asarray(cs, dtype=np.float64)
+    alpha, grad = np.zeros((p, n)), -np.ones((p, n))
+    pos = y > 0
+    diag = qs[:, np.arange(n), np.arange(n)]
+    up = (pos & (alpha < (c - _TAU)[:, None])) | (~pos & (alpha > _TAU))
+    low = (~pos & (alpha < (c - _TAU)[:, None])) | (pos & (alpha > _TAU))
+    r = np.arange(p)
+    steps = 0
+    while live.size:
+        if steps == cap:
+            for k in live:
+                warnings.warn(_cap_warning(ids[k]), RuntimeWarning, stacklevel=2)
+            stop = np.ones(live.size, dtype=bool)
+        else:
+            vals = neg_y * grad
+            vi = np.where(up, vals, -np.inf)
+            i = vi.argmax(axis=1)
+            top = vi[r, i]
+            gap = top - np.where(low, vals, np.inf).min(axis=1)
+            stop = gap < tol
+            # an empty up or low set gives gap -inf, or NaN with infinite values
+            if np.isnan(gap).any():
+                stop |= ~(up.any(axis=1) & low.any(axis=1))
+        if stop.any():
+            for row in np.flatnonzero(stop):
+                out[live[row]] = _smo_result(
+                    alpha[row].copy(), grad[row].copy(), y[row], c[row], up[row], low[row]
+                )
+            keep = ~stop
+            live, y, neg_y, c, pos = live[keep], y[keep], neg_y[keep], c[keep], pos[keep]
+            diag, alpha, grad, up, low = diag[keep], alpha[keep], grad[keep], up[keep], low[keep]
+            r = np.arange(live.size)
+            continue  # the same round for the problems still running
+        b = top[:, None] - vals
+        q_i = qs[live, i]  # row i, which is column i
+        y_i = y[r, i]
+        a = np.maximum(diag[r, i][:, None] + diag - 2.0 * y_i[:, None] * y * q_i, _TAU)
+        j = np.where(low & (b > 0), -b * b / a, np.inf).argmin(axis=1)
+        q_j = qs[live, j]
+        old_i, old_j = alpha[r, i], alpha[r, j]
+        ai, aj = np.array([
+            _pair_step(*args)
+            for args in zip(
+                (y_i != y[r, j]).tolist(), old_i.tolist(), old_j.tolist(),
+                grad[r, i].tolist(), grad[r, j].tolist(),
+                q_i[r, i].tolist(), q_j[r, j].tolist(), q_i[r, j].tolist(), c.tolist(),
+            )
+        ]).T
+        alpha[r, i], alpha[r, j] = ai, aj
+        ij = (r[:, None], np.array([i, j]).T)
+        moved, pos_ij = alpha[ij], pos[ij]
+        below_c, above_0 = moved < (c - _TAU)[:, None], moved > _TAU
+        up[ij], low[ij] = np.where(pos_ij, below_c, above_0), np.where(pos_ij, above_0, below_c)
+        grad += q_i * (ai - old_i)[:, None] + q_j * (aj - old_j)[:, None]
+        steps += 1
+    return out
 
 
 def train_mklsvm(

@@ -663,6 +663,8 @@ def run_stage(
     force: bool = False,
 ) -> dict:
     """Run one pipeline stage against the store; returns its report."""
+    if workers < 1:
+        raise PreconditionError(f"workers must be at least 1, got {workers}")
     if stage not in STAGES:
         raise PreconditionError(f"unknown stage {stage!r}; known: {', '.join(STAGES)}")
     store = ModelStore(store_root)

@@ -15,7 +15,10 @@ scores. The chi-square distances between an event's training videos
 are computed once; the bandwidth, every fold's Gram matrix and every
 held-out kernel are taken from that one matrix. Each distance depends
 on its own pair of rows alone, so these equal the kernels computed on
-the fold's rows, bit for bit.
+the fold's rows, bit for bit. The grid's duals (grid points x 2 folds)
+are solved in lockstep, one detect._smo_lockstep call per fold size,
+with the same alphas as one train_mklsvm per dual; only the final refit
+on all videos goes through train_mklsvm.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .detect import (
     DetectorTrainingProblem,
     DetectorModel,
     KernelSpec,
+    _smo_lockstep,
     chi2_distances,
     compute_kernel,
     fit_platt,
@@ -190,24 +194,43 @@ def _stratified_folds(
     return np.nonzero(fold == 0)[0], np.nonzero(fold == 1)[0]
 
 
-def _train_fold(
+def _cv_grid(
     dist: np.ndarray,
     y: np.ndarray,
-    tr_idx: np.ndarray,
-    te_idx: np.ndarray,
-    c: float,
-    bandwidth: float,
+    folds: tuple[np.ndarray, np.ndarray],
+    params: Sequence[tuple[float, float]],
     gamma: float,
     tol: float,
     event_id: str,
-) -> tuple[DetectorModel, np.ndarray]:
-    """A chi2 SVM trained on rows tr_idx, and its raw scores on rows
-    te_idx, with both kernels taken from dist = chi2_distances(x, x)."""
-    gram = np.exp(-dist[np.ix_(tr_idx, tr_idx)] / bandwidth)
-    problem = DetectorTrainingProblem(gram=[gram], labels=y[tr_idx], C=c, gamma=gamma)
-    model = train_mklsvm(problem, tol=tol, concept_id=event_id)
-    k = np.exp(-dist[np.ix_(te_idx, tr_idx[model.support_rows])] / bandwidth)
-    return model, k @ (model.alpha * model.support_labels) + model.bias
+) -> list[tuple[np.ndarray, float, np.ndarray]]:
+    """For each (C, bandwidth) in params and each (train, test) split of
+    folds, in that order: the dual alpha over the train rows, the bias
+    and the raw scores of the test rows, equal to train_mklsvm on the
+    train rows' chi2 Gram and raw_score_matrix on the test rows. Both
+    kernels come from dist = chi2_distances(x, x), and the duals of
+    each train size are solved in one _smo_lockstep call."""
+    jobs = [(c, bw, tr, te) for c, bw in params for tr, te in (folds, folds[::-1])]
+    fits: list = [None] * len(jobs)
+    for n in sorted({tr.size for _, _, tr, _ in jobs}):
+        group = [k for k, job in enumerate(jobs) if job[2].size == n]
+        qs = np.empty((len(group), n, n))
+        ridge = gamma * np.eye(n)
+        for q, k in zip(qs, group):
+            c, bw, tr, _ = jobs[k]
+            gram = np.exp(-dist[np.ix_(tr, tr)] / bw)
+            problem = DetectorTrainingProblem(gram=[gram], labels=y[tr], C=c, gamma=gamma)
+            # train_mklsvm's dual (y y' o K) + gamma I, written into the stack
+            np.multiply(np.outer(problem.labels, problem.labels), problem.gram[0], out=q)
+            q += ridge
+        ys = np.stack([y[jobs[k][2]] for k in group])
+        cs = [jobs[k][0] for k in group]
+        solved = _smo_lockstep(qs, ys, cs, tol, [event_id] * len(group))
+        for k, (alpha, bias, _) in zip(group, solved):
+            _, bw, tr, te = jobs[k]
+            sv = alpha > 1e-8
+            kernel = np.exp(-dist[np.ix_(te, tr[sv])] / bw)
+            fits[k] = (alpha, bias, kernel @ (alpha[sv] * y[tr][sv]) + bias)
+    return fits
 
 
 def train_event_detector(
@@ -242,16 +265,18 @@ def train_event_detector(
     base_bw = mean_chi2_bandwidth(dist)
     can_cv = n_pos >= 2 and n_neg >= 2
     if can_cv:
-        fold_a, fold_b = _stratified_folds(y, seed)
+        folds = _stratified_folds(y, seed)
+        grid = list(itertools.product(C_grid, bandwidth_scales))
+        fits = _cv_grid(
+            dist, y, folds, [(c, base_bw * scale) for c, scale in grid], gamma, tol, event_id
+        )
         best = None  # (ap, -grid_pos) maximized
         best_params = (1.0, 1.0)
         best_cv = (np.zeros(0), np.zeros(0))
-        for grid_pos, (c, scale) in enumerate(itertools.product(C_grid, bandwidth_scales)):
+        for grid_pos, (c, scale) in enumerate(grid):
             cv_scores = np.empty(y.size)
-            for tr_idx, te_idx in ((fold_a, fold_b), (fold_b, fold_a)):
-                cv_scores[te_idx] = _train_fold(
-                    dist, y, tr_idx, te_idx, c, base_bw * scale, gamma, tol, event_id
-                )[1]
+            for (_, te_idx), fit in zip((folds, folds[::-1]), fits[2 * grid_pos : 2 * grid_pos + 2]):
+                cv_scores[te_idx] = fit[2]
             ap = ap_from_arrays(cv_scores, y > 0)
             key = (ap, -grid_pos)
             if best is None or key > best:

@@ -26,7 +26,7 @@ from .errors import DataFormatError, PreconditionError
 @dataclass
 class VideoManifestEntry:
     video_id: str
-    frame_paths: list[Path]
+    frame_paths: list[str]
     label: str | None = None  # event id for supervised splits
 
     def __post_init__(self):
@@ -70,7 +70,7 @@ def represent(
     entry: VideoManifestEntry,
     concept_ids: Sequence[str],
     bank: DetectorBank,
-    encoder: Callable[[list[Path]], tuple[list, list, dict[str, np.ndarray]]],
+    encoder: Callable[[list[str]], tuple[list, list, dict[str, np.ndarray]]],
     m: int = 20,
 ) -> VideoRepresentation:
     """Average-pooled calibrated concept scores over m sampled frames.
@@ -150,15 +150,16 @@ def video_manifest_rows(path: str | Path) -> list[tuple[str, str | None, str]]:
 
 def load_video_manifest(path: str | Path) -> list[VideoManifestEntry]:
     """TSV rows: video_id, event label or '-', frame directory or a
-    ';'-separated frame list. Paths resolve relative to the manifest."""
-    base = Path(path).parent
+    ';'-separated frame list. Paths resolve relative to the manifest;
+    frame locators are strings, as encode.load_descriptors takes them."""
+    base = os.path.dirname(str(Path(path)))  # '' for a bare name, as pathlib joins it
     entries: list[VideoManifestEntry] = []
     for video_id, label, frames_field in video_manifest_rows(path):
         if ";" in frames_field:
-            frame_paths = [base / p for p in frames_field.split(";") if p]
+            frame_paths = [os.path.join(base, p) for p in frames_field.split(";") if p]
         else:
-            target = base / frames_field
-            if target.is_dir():
+            target = os.path.join(base, frames_field)
+            if os.path.isdir(target):
                 frame_paths = _frames_in_dir(target)
             else:
                 frame_paths = [target]
@@ -166,7 +167,7 @@ def load_video_manifest(path: str | Path) -> list[VideoManifestEntry]:
     return entries
 
 
-def _frames_in_dir(directory: Path) -> list[Path]:
+def _frames_in_dir(directory: str) -> list[str]:
     """Frame locators in a directory, sorted by name: .ppm rasters as-is,
     descriptor files collapsed to their stem (name before .<channel>.cbfv)."""
     stems: set[str] = set()
@@ -181,4 +182,4 @@ def _frames_in_dir(directory: Path) -> list[Path]:
                     stems.add(stem)
     if not stems:
         raise DataFormatError(f"no frames found in {directory}")
-    return [directory / stem for stem in sorted(stems)]
+    return [os.path.join(directory, stem) for stem in sorted(stems)]

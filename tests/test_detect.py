@@ -10,6 +10,7 @@ from conceptbank.detect import (
     DetectorBank,
     DetectorTrainingProblem,
     _smo,
+    _smo_lockstep,
     KernelSpec,
     VisualnessReport,
     chi2_distances,
@@ -165,6 +166,15 @@ def test_iteration_cap_warning_names_the_concept():
     q, y = toy_dual()
     with pytest.warns(RuntimeWarning, match=r"^SMO iteration cap.*con-cap"):
         _smo(q, y, 10.0, 1e-4, concept_id="con-cap", max_iter=1)
+    # the lockstep solver: one warning per capped problem, each naming its own id
+    ids = ["con-cap-a", "con-cap-b", "con-cap-c"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _smo_lockstep(np.stack([q] * 3), np.stack([y] * 3), [10.0] * 3, 1e-4, ids, max_iter=1)
+    assert [str(w.message) for w in caught] == [
+        f"SMO iteration cap reached before KKT tolerance ({i})" for i in ids
+    ]
+    assert all(w.category is RuntimeWarning for w in caught)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
@@ -173,7 +183,68 @@ def test_non_positive_tolerance_is_rejected(tol):
     with pytest.raises(PreconditionError, match="tolerance must be > 0"):
         _smo(q, y, 10.0, tol)
     with pytest.raises(PreconditionError, match="tolerance must be > 0"):
+        _smo_lockstep(q[None], y[None], [10.0], tol, ["con-tol"])
+    with pytest.raises(PreconditionError, match="tolerance must be > 0"):
         train_mklsvm(toy_problem(gamma=0.01), tol=tol, concept_id="con-tol")
+
+
+def random_duals(rng, p, n, ties):
+    """p chi2 SVM duals (Q, y) of size n, as train_mklsvm forms them; with
+    ties, the points are few distinct integer vectors and there is no
+    ridge, so Gram rows, and with them the violations -y grad, repeat
+    exactly."""
+    gamma = 0.0 if ties else 0.01
+    qs, ys = np.empty((p, n, n)), np.empty((p, n))
+    for k in range(p):
+        if ties:
+            x = rng.integers(0, 3, size=(n, 4)).astype(np.float64)
+            x = x[rng.integers(0, max(2, n // 3), size=n)]
+        else:
+            x = rng.uniform(0.0, 1.0, size=(n, 6))
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        y[:2] = (1.0, -1.0)
+        gram = compute_kernel(x, x, KernelSpec("chi2", bandwidth=2.0))
+        problem = DetectorTrainingProblem(gram=[gram], labels=y, gamma=gamma)
+        qs[k] = np.outer(y, y) * problem.gram[0] + gamma * np.eye(n)
+        ys[k] = y
+    return qs, ys
+
+
+@pytest.mark.parametrize(
+    "seed, n, cs, ties",
+    [
+        (0, 30, [0.01, 0.05, 0.1, 0.02], False),  # the upper bound binds
+        (1, 40, [0.1, 1.0, 10.0, 100.0, 1.0], False),  # problems leave at different rounds
+        (2, 24, [0.05, 1.0, 10.0], True),  # planted ties in the violations
+        (3, 2, [0.5, 10.0], False),
+    ],
+)
+def test_lockstep_solver_equals_smo_bit_for_bit(seed, n, cs, ties):
+    rng = np.random.default_rng(seed)
+    qs, ys = random_duals(rng, len(cs), n, ties)
+    ids = [f"p{k}" for k in range(len(cs))]
+    got = _smo_lockstep(qs, ys, cs, 1e-4, ids)
+    assert len(got) == len(cs)
+    for q, y, c, (alpha, bias, objective) in zip(qs, ys, cs, got):
+        want_alpha, want_bias, want_objective = _smo(q, y, c, 1e-4)
+        assert np.array_equal(alpha, want_alpha)
+        assert bias == want_bias and objective == want_objective
+    if seed == 0:
+        assert any(np.any(a[0] == c) for a, c in zip(got, cs))
+    if ties:
+        # repeated (row, label) pairs keep their -y grad equal at every step
+        assert all(len(np.unique(np.column_stack([q, y]), axis=0)) < n for q, y in zip(qs, ys))
+    # capped mid-way, each problem still equals _smo capped at the same count
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        capped = _smo_lockstep(qs, ys, cs, 1e-4, ids, max_iter=7)
+        for q, y, c, (alpha, bias, objective) in zip(qs, ys, cs, capped):
+            want = _smo(q, y, c, 1e-4, max_iter=7)
+            assert np.array_equal(alpha, want[0]) and (bias, objective) == want[1:]
+
+
+def test_lockstep_solver_of_an_empty_stack_is_empty():
+    assert _smo_lockstep(np.empty((0, 3, 3)), np.empty((0, 3)), [], 1e-4, []) == []
 
 
 def test_problem_validation():

@@ -326,3 +326,17 @@ def test_cli_seed_override_changes_the_hash(tmp_path, capsys):
     )
     err = capsys.readouterr().err
     assert "use --force" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_a_worker_count_below_one_is_rejected(corpus_config, tmp_path, capsys, count):
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("run", "--store", store, "--config", "unused.json", "--workers", count)
+    assert exit_info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    with pytest.raises(PreconditionError, match="workers must be at least 1"):
+        run_stage("ontology", corpus_config, store, workers=int(count))
+    with pytest.raises(PreconditionError, match="workers must be at least 1"):
+        run_all(corpus_config, store, workers=int(count))
+    assert not store.exists()

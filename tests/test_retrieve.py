@@ -23,7 +23,7 @@ from conceptbank.retrieve import (
     CV_C_GRID,
     RankList,
     _stratified_folds,
-    _train_fold,
+    _cv_grid,
     detect_events,
     fuse,
     rank_list_from_scores,
@@ -268,21 +268,31 @@ def test_tiny_event_training_skips_cross_validation():
 def test_cv_folds_from_the_shared_distance_matrix_are_exact():
     # 48 concept scores per video, as on the benchmark's video-index run
     rng = np.random.default_rng(3)
-    x = rng.uniform(0.0, 1.0, size=(60, 48))
-    y = np.where(x[:, 0] + 0.3 * rng.normal(size=60) > 0.5, 1.0, -1.0)
-    dist = chi2_distances(x, x)
-    base_bw = mean_chi2_bandwidth(dist)
-    folds = _stratified_folds(y, seed=4)
-    for c in CV_C_GRID:
-        for scale in CV_BANDWIDTH_SCALES:
-            spec = KernelSpec("chi2", bandwidth=base_bw * scale)
+    # even class counts give equal folds (one lockstep stack); 31 positives
+    # give folds of 31 and 30 rows, solved as two stacks, here with a ridge
+    for n_pos, n_neg, gamma in ((30, 30, 0.0), (31, 30, 0.01)):
+        y = rng.permutation(np.concatenate([np.ones(n_pos), -np.ones(n_neg)]))
+        x = rng.uniform(0.0, 1.0, size=(y.size, 48))
+        x[:, 0] += 0.3 * (y > 0) + 0.2 * rng.normal(size=y.size)
+        x = np.abs(x)
+        dist = chi2_distances(x, x)
+        base_bw = mean_chi2_bandwidth(dist)
+        folds = _stratified_folds(y, seed=4)
+        assert (folds[0].size == folds[1].size) == (n_pos % 2 == 0)
+        params = [(c, base_bw * scale) for c in CV_C_GRID for scale in CV_BANDWIDTH_SCALES]
+        fits = iter(_cv_grid(dist, y, folds, params, gamma, 1e-4, "e"))
+        for c, bandwidth in params:
+            spec = KernelSpec("chi2", bandwidth=bandwidth)
             for tr, te in (folds, folds[::-1]):
-                shared, scores = _train_fold(dist, y, tr, te, c, spec.bandwidth, 0.0, 1e-4, "e")
+                alpha, bias, scores = next(fits)
                 problem = DetectorTrainingProblem(
-                    gram=[compute_kernel(x[tr], x[tr], spec)], labels=y[tr], C=c, gamma=0.0,
+                    gram=[compute_kernel(x[tr], x[tr], spec)], labels=y[tr], C=c, gamma=gamma,
                     channels=["rep"], features={"rep": x[tr]}, kernels={"rep": spec},
                 )
                 direct = train_mklsvm(problem, tol=1e-4, concept_id="e")
-                assert np.array_equal(shared.alpha, direct.alpha)
-                assert shared.bias == direct.bias
+                assert alpha.shape == (tr.size,)
+                assert np.array_equal(np.flatnonzero(alpha > 1e-8), direct.support_rows)
+                assert np.array_equal(alpha[alpha > 1e-8], direct.alpha)
+                assert bias == direct.bias
                 assert np.array_equal(scores, direct.raw_score_matrix({"rep": x[te]}))
+        assert next(fits, None) is None

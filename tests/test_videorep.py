@@ -306,12 +306,12 @@ def test_video_manifest_parsing(tmp_path):
     entries = load_video_manifest(manifest)
     assert [e.video_id for e in entries] == ["vid-a", "vid-b"]
     assert entries[0].label == "evt-0001"
-    assert [p.name for p in entries[0].frame_paths] == [
-        "frame-000.ppm",
-        "frame-001.ppm",
+    assert entries[0].frame_paths == [
+        str(frames / "frame-000.ppm"),
+        str(frames / "frame-001.ppm"),
     ]
     assert entries[1].label is None
-    assert [p.name for p in entries[1].frame_paths] == ["x.ppm", "y.ppm"]
+    assert entries[1].frame_paths == [str(tmp_path / "x.ppm"), str(tmp_path / "y.ppm")]
 
 
 def test_video_manifest_descriptor_stems(tmp_path):
@@ -323,7 +323,7 @@ def test_video_manifest_descriptor_stems(tmp_path):
     manifest = tmp_path / "videos.tsv"
     manifest.write_text("vid-c\t-\tvid-c\n", encoding="utf-8")
     entries = load_video_manifest(manifest)
-    assert [p.name for p in entries[0].frame_paths] == ["frame-000", "frame-001"]
+    assert entries[0].frame_paths == [str(frames / "frame-000"), str(frames / "frame-001")]
 
 
 def test_video_manifest_frame_listing_keeps_only_frame_files(tmp_path):
@@ -341,7 +341,8 @@ def test_video_manifest_frame_listing_keeps_only_frame_files(tmp_path):
     manifest.write_text("vid-d\t-\tvid-d\n", encoding="utf-8")
     (entry,) = load_video_manifest(manifest)
     names = ["a.ppm", "b", "frame-10.ppm", "frame-2.ppm"]
-    assert entry.frame_paths == [frames / name for name in names]
+    # locators are strings, spelled as pathlib would join them
+    assert entry.frame_paths == [str(frames / name) for name in names]
 
 
 def test_video_manifest_errors(tmp_path):
