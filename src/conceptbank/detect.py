@@ -19,12 +19,18 @@ moves beta along the reduced gradient and projects back onto the
 simplex, accepting only steps that lower the inner optimum. The tracked
 objective is therefore non-increasing.
 
-Two drivers run that one working-set rule and share its pair update:
-_smo solves one dual (warm-started inside the MKL loop), and
-_smo_lockstep solves a stack of independent cold-started duals of one
-size side by side, one pair step per running problem per round, so a
-batch of small solves pays NumPy's call overhead once per round rather
-than once per problem. Each of its results is bit for bit _smo's.
+Two solvers run that one working-set rule and share its pair update:
+_smo solves one dual, and _smo_lockstep a stack of independent duals,
+one pair step per running problem per round, so a batch of small
+solves pays NumPy's call overhead once per round, not once per problem.
+Duals of different sizes share a stack by zero padding: a padded entry
+has a zero row and column in Q and is in neither working set, and each
+result is read off the problem's unpadded slice, so it is bit for bit
+_smo's, cold or warm-started. The MKL loop is one resumable step
+sequence, _mkl_steps, with two drivers: train_mklsvm answers its inner
+solves with _smo, and train_mklsvm_lockstep answers the k-th solves of
+all its runs still in progress with one _smo_lockstep call (runs are
+grouped so that the Grams and duals held in flight stay bounded).
 
 Raw margins are mapped to probabilities by a Platt sigmoid fitted on
 held-out scores. A linear detector folds into one primal weight vector
@@ -32,14 +38,15 @@ per channel; a DetectorBank stacks those of many concepts, so one
 product per channel scores them all. Only the chi2 event detector still
 scores through its support vectors. verify_visualness() runs the 2-fold
 cross-validation gate that weeds out concepts whose images are not
-visually coherent.
+visually coherent; verify_concepts() runs it for many candidates in
+one pass.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -47,6 +54,8 @@ from .errors import PreconditionError
 from .metrics import ap_from_arrays
 
 _TAU = 1e-12
+# values held in flight by one lockstep MKL pass (32 MB of float64)
+_LOCKSTEP_DOUBLES = 4_000_000
 
 
 @dataclass
@@ -94,6 +103,10 @@ def mean_chi2_bandwidth(dist: np.ndarray) -> float:
 
 
 def compute_kernel(x: np.ndarray, z: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """The (len(x), len(z)) kernel matrix. For a linear Gram, pass one array
+    object as both x and z: NumPy then takes BLAS's symmetric product
+    (SYRK), whose bits differ from x @ z.T on an equal copy z, so the
+    same rows gathered twice give a different Gram."""
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if spec.kind == "linear":
@@ -402,11 +415,19 @@ def _smo(
     alpha = np.zeros(n) if alpha0 is None else alpha0.copy()
     grad = q @ alpha - 1.0 if alpha0 is not None else -np.ones(n)
     pos = y > 0
-    diag = np.diag(q).copy()
     # up / low: who may move up / down along y; only alpha[i], alpha[j] change per update
     up = (pos & (alpha < c - _TAU)) | (~pos & (alpha > _TAU))
     low = (~pos & (alpha < c - _TAU)) | (pos & (alpha > _TAU))
-    for _ in range(max(20_000, 50 * n) if max_iter is None else max_iter):
+    steps = max(20_000, 50 * n) if max_iter is None else max_iter
+    return _smo_steps(q, y, c, tol, alpha, grad, up, low, steps, concept_id)
+
+
+def _smo_steps(q, y, c, tol, alpha, grad, up, low, steps, concept_id):
+    """_smo's pair updates from the state (alpha, grad, up, low), which
+    they change in place: at most `steps` of them, then a cap warning."""
+    pos = y > 0
+    diag = np.diag(q).copy()
+    for _ in range(steps):
         vals = -y * grad
         if not up.any() or not low.any():
             break
@@ -427,119 +448,143 @@ def _smo(
             up[k], low[k] = (below_c, above_0) if pos[k] else (above_0, below_c)
         grad += q[:, i] * (ai - old_i) + q[:, j] * (aj - old_j)
     else:
-        warnings.warn(_cap_warning(concept_id), RuntimeWarning, stacklevel=2)
+        warnings.warn(_cap_warning(concept_id), RuntimeWarning, stacklevel=3)
     return _smo_result(alpha, grad, y, c, up, low)
 
 
 def _smo_lockstep(
     qs: np.ndarray,
-    ys: np.ndarray,
+    ys: Sequence[np.ndarray],
     cs: Sequence[float],
     tol: float,
     ids: Sequence[str],
     max_iter: int | None = None,
+    *,
+    duals: Sequence[int] | None = None,
+    starts: Sequence[tuple[np.ndarray, np.ndarray] | None] | None = None,
 ) -> list[tuple[np.ndarray, float, float]]:
-    """_smo, cold-started, on each of a stack of independent duals of one
-    size: qs is (p, n, n), each Q symmetric as train_mklsvm forms it, ys
-    (p, n), cs and ids one per problem.
+    """_smo on each of a stack of independent duals: qs is (s, N, N), each
+    Q symmetric as train_mklsvm forms it and zero-padded past its own n;
+    ys holds each problem's (n,) labels, cs and ids one entry per problem,
+    duals the index in qs of each problem's Q (default: its own). A start
+    (alpha0, grad0) warm-starts a problem, with grad0 = Q @ alpha0 - 1
+    computed on the problem's own contiguous Q, as _smo computes it.
 
     Each round makes one pair step on every problem still running, with
     _smo's working-set choice (same first-index ties), clipping and
-    gradient update row by row, and each result comes from the problem's
-    own row; so every (alpha, bias, objective) is bit for bit that of
-    _smo on the problem alone. A problem leaves the round when it meets
-    tol, or after max_iter steps (default max(20000, 50 n)) with a
-    warning naming its id.
+    gradient update row by row, so every (alpha, bias, objective) is bit
+    for bit that of _smo on the problem alone. A problem leaves the round
+    when it meets tol, or after max_iter steps (default max(20000, 50 n),
+    of its own n) with a warning naming its id. The last problem left
+    goes on in _smo's loop, _smo_steps, from the same state.
     """
     if not tol > 0:
         raise PreconditionError(f"SMO tolerance must be > 0, got {tol}")
-    ys = np.asarray(ys, dtype=np.float64)
-    if not len(ys):
+    p = len(ys)
+    if not p:
         return []
-    p, n = ys.shape
-    cap = max(20_000, 50 * n) if max_iter is None else max_iter
+    n_max = qs.shape[1]
+    sizes = np.array([len(yk) for yk in ys])
     out: list = [None] * p
+    y, alpha, grad = np.zeros((p, n_max)), np.zeros((p, n_max)), -np.ones((p, n_max))
+    for k, yk in enumerate(ys):
+        y[k, : sizes[k]] = yk
+        if starts is not None and starts[k] is not None:
+            alpha[k, : sizes[k]], grad[k, : sizes[k]] = starts[k]
+    cap = np.maximum(20_000, 50 * sizes) if max_iter is None else np.full(p, max_iter)
     # one row per running problem; rows leave as their problems finish
     live = np.arange(p)  # stack position of each row
-    y, neg_y, c = ys, -ys, np.asarray(cs, dtype=np.float64)
-    alpha, grad = np.zeros((p, n)), -np.ones((p, n))
+    dual = np.arange(p) if duals is None else np.asarray(duals)
+    neg_y, c = -y, np.asarray(cs, dtype=np.float64)
     pos = y > 0
-    diag = qs[:, np.arange(n), np.arange(n)]
-    up = (pos & (alpha < (c - _TAU)[:, None])) | (~pos & (alpha > _TAU))
-    low = (~pos & (alpha < (c - _TAU)[:, None])) | (pos & (alpha > _TAU))
-    r = np.arange(p)
-    steps = 0
+    valid = np.arange(n_max) < sizes[:, None]
+    diag = qs[:, np.arange(n_max), np.arange(n_max)][dual]
+    up = valid & ((pos & (alpha < (c - _TAU)[:, None])) | (~pos & (alpha > _TAU)))
+    low = valid & ((~pos & (alpha < (c - _TAU)[:, None])) | (pos & (alpha > _TAU)))
+    # flat offset of each row, its C minus _TAU (twice, for the i and j
+    # entries) and the first step count at which some row reaches its cap
+    at, c_tau = np.arange(p) * n_max, np.tile(c - _TAU, 2)
+    steps, next_cap = 0, cap.min()
     while live.size:
-        if steps == cap:
-            for k in live:
+        if live.size == 1:  # a lone problem goes on as _smo, whose steps cost less
+            n, k = sizes[0], live[0]
+            out[k] = _smo_steps(
+                qs[dual[0], :n, :n], y[0, :n], float(c[0]), tol, alpha[0, :n].copy(),
+                grad[0, :n].copy(), up[0, :n].copy(), low[0, :n].copy(), cap[0] - steps, ids[k],
+            )
+            break
+        vals = neg_y * grad
+        vi = np.where(up, vals, -np.inf)
+        i = vi.argmax(axis=1)
+        fi = at + i
+        top = vi.take(fi)
+        gap = top - np.where(low, vals, np.inf).min(axis=1)
+        stop = gap < tol
+        if steps == next_cap:
+            capped = cap == steps
+            for k in live[capped]:
                 warnings.warn(_cap_warning(ids[k]), RuntimeWarning, stacklevel=2)
-            stop = np.ones(live.size, dtype=bool)
-        else:
-            vals = neg_y * grad
-            vi = np.where(up, vals, -np.inf)
-            i = vi.argmax(axis=1)
-            top = vi[r, i]
-            gap = top - np.where(low, vals, np.inf).min(axis=1)
-            stop = gap < tol
-            # an empty up or low set gives gap -inf, or NaN with infinite values
-            if np.isnan(gap).any():
-                stop |= ~(up.any(axis=1) & low.any(axis=1))
+            stop |= capped
+        # an empty up or low set gives gap -inf, or NaN with infinite values
+        if np.isnan(gap).any():
+            stop |= ~(up.any(axis=1) & low.any(axis=1))
         if stop.any():
             for row in np.flatnonzero(stop):
+                n = sizes[row]
                 out[live[row]] = _smo_result(
-                    alpha[row].copy(), grad[row].copy(), y[row], c[row], up[row], low[row]
+                    alpha[row, :n].copy(), grad[row, :n].copy(), y[row, :n], c[row],
+                    up[row, :n], low[row, :n],
                 )
             keep = ~stop
-            live, y, neg_y, c, pos = live[keep], y[keep], neg_y[keep], c[keep], pos[keep]
-            diag, alpha, grad, up, low = diag[keep], alpha[keep], grad[keep], up[keep], low[keep]
-            r = np.arange(live.size)
+            live, dual, sizes, cap, c = live[keep], dual[keep], sizes[keep], cap[keep], c[keep]
+            y, neg_y, pos, diag = y[keep], neg_y[keep], pos[keep], diag[keep]
+            alpha, grad, up, low = alpha[keep], grad[keep], up[keep], low[keep]
+            at, c_tau = np.arange(live.size) * n_max, np.tile(c - _TAU, 2)
+            next_cap = cap.min() if live.size else 0
             continue  # the same round for the problems still running
         b = top[:, None] - vals
-        q_i = qs[live, i]  # row i, which is column i
-        y_i = y[r, i]
-        a = np.maximum(diag[r, i][:, None] + diag - 2.0 * y_i[:, None] * y * q_i, _TAU)
+        q_i = qs[dual, i]  # row i, which is column i
+        y_i = y.take(fi)
+        a = np.maximum(diag.take(fi)[:, None] + diag - 2.0 * y_i[:, None] * y * q_i, _TAU)
         j = np.where(low & (b > 0), -b * b / a, np.inf).argmin(axis=1)
-        q_j = qs[live, j]
-        old_i, old_j = alpha[r, i], alpha[r, j]
+        fj = at + j
+        q_j = qs[dual, j]
+        old_i, old_j = alpha.take(fi), alpha.take(fj)
         ai, aj = np.array([
             _pair_step(*args)
             for args in zip(
-                (y_i != y[r, j]).tolist(), old_i.tolist(), old_j.tolist(),
-                grad[r, i].tolist(), grad[r, j].tolist(),
-                q_i[r, i].tolist(), q_j[r, j].tolist(), q_i[r, j].tolist(), c.tolist(),
+                (y_i != y.take(fj)).tolist(), old_i.tolist(), old_j.tolist(),
+                grad.take(fi).tolist(), grad.take(fj).tolist(),
+                q_i.take(fi).tolist(), q_j.take(fj).tolist(), q_i.take(fj).tolist(), c.tolist(),
             )
         ]).T
-        alpha[r, i], alpha[r, j] = ai, aj
-        ij = (r[:, None], np.array([i, j]).T)
-        moved, pos_ij = alpha[ij], pos[ij]
-        below_c, above_0 = moved < (c - _TAU)[:, None], moved > _TAU
-        up[ij], low[ij] = np.where(pos_ij, below_c, above_0), np.where(pos_ij, above_0, below_c)
+        alpha.put(fi, ai)
+        alpha.put(fj, aj)
+        fij = np.concatenate((fi, fj))
+        moved, pos_ij = alpha.take(fij), pos.take(fij)
+        below_c, above_0 = moved < c_tau, moved > _TAU
+        up.put(fij, np.where(pos_ij, below_c, above_0))
+        low.put(fij, np.where(pos_ij, above_0, below_c))
         grad += q_i * (ai - old_i)[:, None] + q_j * (aj - old_j)[:, None]
         steps += 1
     return out
 
 
-def train_mklsvm(
-    problem: DetectorTrainingProblem,
-    tol: float = 1e-4,
-    max_alternations: int = 20,
-    concept_id: str = "",
-) -> DetectorModel:
-    """Alternating SMO / reduced-gradient optimization of the dual."""
-    y = problem.labels
-    n = problem.n
-    signed = [np.outer(y, y) * k for k in problem.gram]
-    ridge = problem.gamma * np.eye(n)
-    beta = np.full(problem.m, 1.0 / problem.m)
+def _mkl_steps(signed: list[np.ndarray], gamma: float, tol: float, max_alternations: int):
+    """The MKL alternation over the label-signed Grams, as a resumable
+    step sequence: yields (q, warm_alpha) for each inner SMO solve, is
+    sent back its (alpha, bias, f_min), and returns (beta, alpha, bias,
+    objective, history)."""
+    n, m = signed[0].shape[0], len(signed)
 
-    def inner(b: np.ndarray, warm: np.ndarray | None):
-        q = sum(w * s for w, s in zip(b, signed)) + ridge
-        alpha, bias, f_min = _smo(q, y, problem.C, tol, warm, concept_id=concept_id)
-        return alpha, bias, -f_min  # dual maximum value
+    def dual(b: np.ndarray) -> np.ndarray:
+        return sum(w * s for w, s in zip(b, signed)) + gamma * np.eye(n)
 
-    alpha, bias, best = inner(beta, None)
+    beta = np.full(m, 1.0 / m)
+    alpha, bias, f_min = yield dual(beta), None
+    best = -f_min  # dual maximum value
     history = [best]
-    if problem.m > 1:
+    if m > 1:
         for _ in range(max_alternations):
             grad = np.array([-0.5 * float(alpha @ (s @ alpha)) for s in signed])
             improved = False
@@ -548,9 +593,9 @@ def train_mklsvm(
                 cand = project_simplex(beta - step * grad)
                 if np.abs(cand - beta).max() < 1e-14:
                     break
-                a2, b2, j2 = inner(cand, alpha)
-                if j2 <= best - 1e-12:
-                    beta, alpha, bias, best = cand, a2, b2, j2
+                a2, b2, f2 = yield dual(cand), alpha
+                if -f2 <= best - 1e-12:
+                    beta, alpha, bias, best = cand, a2, b2, -f2
                     history.append(best)
                     improved = True
                     break
@@ -559,27 +604,113 @@ def train_mklsvm(
                 break
             if len(history) >= 2 and history[-2] - history[-1] < tol:
                 break
+    return beta, alpha, bias, best, history
 
+
+def _model(concept_id, y, fit, ids, channels, kernels, features=None):
+    """The DetectorModel of one finished _mkl_steps run on labels y."""
+    beta, alpha, bias, objective, history = fit
     sv = alpha > 1e-8
     rows = np.nonzero(sv)[0]
-    ids = problem.image_ids or [f"x{k:06d}" for k in range(n)]
-    channels = problem.channels or [f"ch{m}" for m in range(problem.m)]
-    features = problem.features or {}
-    kernels = problem.kernels or {}
+    ids = ids or [f"x{k:06d}" for k in range(y.size)]
     return DetectorModel(
         concept_id=concept_id,
-        channels=channels,
+        channels=channels or [f"ch{m}" for m in range(beta.size)],
         beta=beta,
         alpha=alpha[sv],
         support_labels=y[sv],
         bias=bias,
         support_ids=[ids[k] for k in rows],
-        support_features={c: np.asarray(f)[sv] for c, f in features.items()},
-        kernels=kernels,
-        objective=best,
+        support_features={c: np.asarray(f)[sv] for c, f in (features or {}).items()},
+        kernels=kernels or {},
+        objective=objective,
         history=history,
         support_rows=rows,
     )
+
+
+def train_mklsvm(
+    problem: DetectorTrainingProblem,
+    tol: float = 1e-4,
+    max_alternations: int = 20,
+    concept_id: str = "",
+) -> DetectorModel:
+    """Alternating SMO / reduced-gradient optimization of the dual, each
+    inner solve by _smo."""
+    steps, y, c, _, meta = _mkl_run(problem, concept_id, tol, max_alternations)
+    fit = None
+    while True:
+        try:
+            q, warm = steps.send(fit)
+        except StopIteration as done:
+            return _model(concept_id, y, done.value, *meta, problem.features)
+        fit = _smo(q, y, c, tol, warm, concept_id=concept_id)
+
+
+def train_mklsvm_lockstep(
+    problems: Iterable[DetectorTrainingProblem],
+    concept_ids: Sequence[str],
+    tol: float = 1e-4,
+    max_alternations: int = 20,
+) -> list[DetectorModel]:
+    """train_mklsvm on each problem, bit for bit, with the k-th inner
+    solves of all runs still in progress solved as one _smo_lockstep
+    stack. A run in flight holds only its label-signed Grams and labels,
+    so problems may come from a lazy iterator, and the models carry no
+    support features (gather them by support_rows or support_ids).
+    Problems are taken in order into passes whose Grams and duals hold
+    at most _LOCKSTEP_DOUBLES values (one problem at least)."""
+    models, runs, held = [], [], 0
+    for problem, cid in zip(problems, concept_ids):
+        size = (problem.m + 1) * problem.n**2
+        if runs and held + size > _LOCKSTEP_DOUBLES:
+            models += _lockstep_pass(runs, tol)
+            runs, held = [], 0
+        runs.append(_mkl_run(problem, cid, tol, max_alternations))
+        held += size
+    return models + _lockstep_pass(runs, tol)
+
+
+def _lockstep_pass(runs: list, tol: float) -> list[DetectorModel]:
+    """One lockstep pass over _mkl_run tuples. Each generation's duals
+    are written, zero-padded, into one buffer that every later
+    generation reuses."""
+    fits, sent = [None] * len(runs), [None] * len(runs)  # sent: each run's last inner result
+    live = list(range(len(runs)))
+    buf = np.empty(len(runs) * max((r[1].size for r in runs), default=0) ** 2)
+    while live:
+        n_max = max(runs[k][1].size for k in live)
+        stack = buf[: len(live) * n_max**2].reshape(len(live), n_max, n_max)
+        pending, starts = [], []
+        for k in live:
+            try:
+                q, warm = runs[k][0].send(sent[k])
+            except StopIteration as done:
+                fits[k] = done.value
+                continue
+            n = q.shape[0]
+            slot = stack[len(pending)]
+            slot[:n, :n], slot[:n, n:], slot[n:] = q, 0.0, 0.0
+            starts.append(None if warm is None else (warm, q @ warm - 1.0))
+            pending.append(k)
+        solved = _smo_lockstep(
+            stack[: len(pending)], [runs[k][1] for k in pending], [runs[k][2] for k in pending],
+            tol, [runs[k][3] for k in pending], starts=starts,
+        )
+        for k, fit in zip(pending, solved):
+            sent[k] = fit
+        live = pending
+    return [_model(cid, y, fit, *meta) for (_, y, _, cid, meta), fit in zip(runs, fits)]
+
+
+def _mkl_run(problem: DetectorTrainingProblem, concept_id: str, tol, max_alternations):
+    """(_mkl_steps generator, labels, C, concept id, model metadata) of one
+    problem; it keeps no reference to the problem's Grams or features."""
+    y = problem.labels
+    steps = _mkl_steps(
+        [np.outer(y, y) * k for k in problem.gram], problem.gamma, tol, max_alternations
+    )
+    return steps, y, problem.C, concept_id, (problem.image_ids, problem.channels, problem.kernels)
 
 
 def fit_platt(
@@ -653,56 +784,84 @@ def verify_visualness(
     positives (seeded, without replacement). Each fold trains a
     linear-kernel detector on the other fold and is scored by AP; the
     concept passes when the mean AP clears ap_threshold and the positive
-    count clears min_training_images.
+    count clears min_training_images. It is verify_concepts on one
+    candidate.
     """
     channels = list(positives)
     if not channels:
         raise PreconditionError("no feature channels for verification")
-    n_pos = positives[channels[0]].shape[0]
-    if n_pos < 2:
-        raise PreconditionError(f"{concept_id}: need at least 2 images to verify")
-    n_neg_avail = negative_pool[channels[0]].shape[0]
-    if n_neg_avail < n_pos:
-        raise PreconditionError(
-            f"{concept_id}: {n_neg_avail} negatives available, {n_pos} needed"
-        )
-    kernels = {c: KernelSpec("linear") for c in channels}
+    n_pos, n_neg = positives[channels[0]].shape[0], negative_pool[channels[0]].shape[0]
 
-    rng = np.random.default_rng(seed)
-    neg_rows = np.sort(rng.choice(n_neg_avail, size=n_pos, replace=False))
-    feats = {
-        c: np.vstack([np.asarray(positives[c]), np.asarray(negative_pool[c])[neg_rows]])
-        for c in channels
-    }
-    labels = np.concatenate([np.ones(n_pos), -np.ones(n_pos)])
-    # stratified halves keep both classes in each fold
-    pos_order = rng.permutation(n_pos)
-    neg_order = n_pos + rng.permutation(n_pos)
-    half = n_pos // 2
-    fold_a = np.concatenate([pos_order[:half], neg_order[:half]])
-    fold_b = np.concatenate([pos_order[half:], neg_order[half:]])
-    folds = (fold_a, fold_b)
+    def rows(_, neg_rows: np.ndarray) -> dict[str, np.ndarray]:
+        return {
+            c: np.vstack([np.asarray(positives[c]), np.asarray(negative_pool[c])[neg_rows]])
+            for c in channels
+        }
 
-    aps = []
-    for train_idx, test_idx in (folds, folds[::-1]):
-        tr_y = labels[train_idx]
-        if not (np.any(tr_y > 0) and np.any(tr_y < 0)):
-            raise PreconditionError(f"{concept_id}: fold lost one class")
-        tr = {c: feats[c][train_idx] for c in channels}
-        gram = [compute_kernel(tr[c], tr[c], kernels[c]) for c in channels]
-        problem = DetectorTrainingProblem(
-            gram=gram, labels=tr_y, C=C, gamma=gamma,
-            channels=channels, features=tr, kernels=kernels,
-        )
-        model = train_mklsvm(problem, tol=tol, concept_id=concept_id)
-        te = {c: feats[c][test_idx] for c in channels}
-        raw = model.raw_score_matrix(te)
-        aps.append(ap_from_arrays(raw, labels[test_idx] > 0))
-    cv_ap = float(np.mean(aps))
-    passed = (cv_ap > ap_threshold) and (n_pos >= min_training_images)
-    return VisualnessReport(
-        concept_id=concept_id,
-        cv_ap=cv_ap,
-        training_image_count=n_pos,
-        passed=passed,
+    (report,) = verify_concepts(
+        [(concept_id, n_pos, n_neg, seed)], rows, C, gamma, ap_threshold, min_training_images, tol
     )
+    return report
+
+
+def verify_concepts(
+    candidates: Sequence[tuple[str, int, int, int]],
+    rows: Callable[[int, np.ndarray], dict[str, np.ndarray]],
+    C: float = 1.0,
+    gamma: float = 0.01,
+    ap_threshold: float = 0.8,
+    min_training_images: int = 100,
+    tol: float = 1e-4,
+) -> list[VisualnessReport]:
+    """verify_visualness on each candidate (concept id, positive count,
+    negative pool size, seed), with every fold problem trained in one
+    train_mklsvm_lockstep pass. rows(k, neg_rows) gives candidate k's
+    positives, then the pool rows neg_rows, as {channel: matrix}. It is
+    called again after the solves to score the held-out folds, so no
+    features are held while problems are in flight."""
+    splits = []  # (negative rows, labels, (train, test) folds) per candidate
+    for concept_id, n_pos, n_neg_avail, seed in candidates:
+        if n_pos < 2:
+            raise PreconditionError(f"{concept_id}: need at least 2 images to verify")
+        if n_neg_avail < n_pos:
+            raise PreconditionError(
+                f"{concept_id}: {n_neg_avail} negatives available, {n_pos} needed"
+            )
+        # the negatives are drawn from the pool size first, so only they are gathered
+        rng = np.random.default_rng(seed)
+        neg_rows = np.sort(rng.choice(n_neg_avail, size=n_pos, replace=False))
+        # stratified halves keep both classes in each fold
+        pos_order = rng.permutation(n_pos)
+        neg_order = n_pos + rng.permutation(n_pos)
+        half = n_pos // 2
+        fold_a = np.concatenate([pos_order[:half], neg_order[:half]])
+        fold_b = np.concatenate([pos_order[half:], neg_order[half:]])
+        labels = np.concatenate([np.ones(n_pos), -np.ones(n_pos)])
+        splits.append((neg_rows, labels, ((fold_a, fold_b), (fold_b, fold_a))))
+
+    def problems():
+        for k, (neg_rows, labels, folds) in enumerate(splits):
+            feats = rows(k, neg_rows)
+            for train_idx, _ in folds:
+                tr = [f[train_idx] for f in feats.values()]
+                yield DetectorTrainingProblem(
+                    gram=[compute_kernel(x, x, KernelSpec("linear")) for x in tr],
+                    labels=labels[train_idx], C=C, gamma=gamma, channels=list(feats),
+                    kernels={c: KernelSpec("linear") for c in feats},
+                )
+
+    ids = [cand[0] for cand in candidates for _ in range(2)]
+    models = iter(train_mklsvm_lockstep(problems(), ids, tol=tol))
+    reports = []
+    for k, (neg_rows, labels, folds) in enumerate(splits):
+        feats = rows(k, neg_rows)
+        aps = []
+        for (train_idx, test_idx), model in zip(folds, models):
+            sv = train_idx[model.support_rows]
+            model = replace(model, support_features={c: f[sv] for c, f in feats.items()})
+            raw = model.raw_score_matrix({c: f[test_idx] for c, f in feats.items()})
+            aps.append(ap_from_arrays(raw, labels[test_idx] > 0))
+        cv_ap, (concept_id, n_pos, _, _) = float(np.mean(aps)), candidates[k]
+        passed = (cv_ap > ap_threshold) and (n_pos >= min_training_images)
+        reports.append(VisualnessReport(concept_id, cv_ap, n_pos, passed))
+    return reports

@@ -11,16 +11,17 @@ stays the bare hierarchy, and _concept_tree derives the verified concept
 bank from it, candidates.json and reports/visualness.json for the
 stages that need concepts. Independent per-concept / per-event / per-image
 work, and the represent stage's chunks of videos, are sharded over a
-thread pool. Chunks have a fixed size, a batch encodes each image bit
-for bit as if alone, every merge happens in a fixed order and every
-random draw uses a seed derived from the config, so the store's bytes
-do not depend on the worker count.
+thread pool; verify and train instead train all their detectors in one
+lockstep pass (detect.train_mklsvm_lockstep). Chunks have a fixed size,
+a batch encodes each image bit for bit as if alone, every merge happens
+in a fixed order and every random draw uses a seed derived from the
+config, so the store's bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -99,9 +100,12 @@ def _codebooks(store: ModelStore, config: PipelineConfig) -> dict[str, encode.Co
     return books
 
 
-def _features(store: ModelStore) -> Callable[[Sequence[str]], dict[str, np.ndarray]]:
-    """Reads features.cbfh once; returns the map from image ids to their
-    stacked rows, {channel: (ids x dim)}."""
+def _features(
+    store: ModelStore, required: Sequence[str] = ()
+) -> Callable[[Sequence[str]], dict[str, np.ndarray]]:
+    """Reads features.cbfh once and checks that it holds the required
+    images; returns the map from image ids to their stacked rows,
+    {channel: (ids x dim)}."""
     path = store.path("features.cbfh")
     ids, channels = read_cbfh(path)
     row = {image_id: r for r, image_id in enumerate(ids)}
@@ -113,6 +117,9 @@ def _features(store: ModelStore) -> Callable[[Sequence[str]], dict[str, np.ndarr
             raise DataFormatError(f"{path} has no features for image {exc}") from None
         return {ch: m[index] for ch, m in channels.items()}
 
+    missing = set(required) - row.keys()
+    if missing:
+        raise DataFormatError(f"{path} has no features for image {min(missing)!r}")
     return rows
 
 
@@ -159,6 +166,8 @@ def _selection(store: ModelStore, concept_id: str) -> select.SelectionResult:
     relpath = f"selections/{concept_id}.json"
     keys = {"concept_id": str, "positives": (str, float), "negatives": (str, str), "seed": int}
     (doc,) = store.checked(relpath, [store.read_json(relpath)], keys)
+    if doc["concept_id"] != concept_id:
+        raise DataFormatError(f"{store.path(relpath)} holds concept {doc['concept_id']!r}")
     return select.SelectionResult.from_dict(doc)
 
 
@@ -352,11 +361,12 @@ def _stage_verify(config: PipelineConfig, store: ModelStore, workers: int) -> di
     lexicon = _lexicon(config)
     records = _records(config, tree, lexicon)
     candidates = sorted(_candidates(store), key=lambda c: c["concept_id"])
-    features = _features(store)
+    # verify gathers only the negatives it samples, but every image is a candidate negative
+    features = _features(store, [r.image_id for r in records])
     seed0 = config.seed_for("verify")
 
-    def job(item: tuple[int, dict]) -> detect.VisualnessReport:
-        idx, cand = item
+    reports, runnable = {}, []  # runnable: (concept id, positive ids, negative ids, seed)
+    for idx, cand in enumerate(candidates):
         cid, name = cand["concept_id"], cand["name"]
         pos_ids = cand["image_ids"]
         pos = set(pos_ids)
@@ -366,27 +376,25 @@ def _stage_verify(config: PipelineConfig, store: ModelStore, workers: int) -> di
             if name not in r.canonical_tags() and r.image_id not in pos
         ]
         if len(pos_ids) < 2 or len(neg_ids) < len(pos_ids):
-            return detect.VisualnessReport(
-                concept_id=cid,
-                cv_ap=0.0,
-                training_image_count=len(pos_ids),
-                passed=False,
-            )
-        return detect.verify_visualness(
-            cid,
-            features(pos_ids),
-            features(neg_ids),
-            seed=seed0 + idx,
-            C=config.C,
-            gamma=config.gamma,
-            ap_threshold=config.cv_ap_threshold,
-            min_training_images=config.min_training_images,
-        )
+            reports[cid] = detect.VisualnessReport(cid, 0.0, len(pos_ids), False)
+        else:
+            runnable.append((cid, pos_ids, neg_ids, seed0 + idx))
 
-    reports = _pmap(job, list(enumerate(candidates)), workers)
-    doc = {r.concept_id: r.to_dict() for r in reports}
-    store.write_json("reports/visualness.json", doc)
-    passed = sorted(r.concept_id for r in reports if r.passed)
+    def rows(k: int, neg_rows: np.ndarray) -> dict[str, np.ndarray]:
+        _, pos_ids, neg_ids, _ = runnable[k]
+        return features(pos_ids + [neg_ids[r] for r in neg_rows])
+
+    verified = detect.verify_concepts(
+        [(cid, len(pos_ids), len(neg_ids), seed) for cid, pos_ids, neg_ids, seed in runnable],
+        rows,
+        C=config.C,
+        gamma=config.gamma,
+        ap_threshold=config.cv_ap_threshold,
+        min_training_images=config.min_training_images,
+    )
+    reports.update((r.concept_id, r) for r in verified)
+    store.write_json("reports/visualness.json", {cid: r.to_dict() for cid, r in reports.items()})
+    passed = sorted(cid for cid, r in reports.items() if r.passed)
     return {
         "verified": len(passed),
         "rejected": len(reports) - len(passed),
@@ -397,10 +405,13 @@ def _stage_verify(config: PipelineConfig, store: ModelStore, workers: int) -> di
 def _stage_train(config: PipelineConfig, store: ModelStore, workers: int) -> dict:
     leaves = sorted(_concept_tree(store).concept_leaves(), key=lambda n: n.id)
     features = _features(store)
+    if not leaves:
+        raise PreconditionError("no verified concepts to train")
     seed0 = config.seed_for("train")
+    kernels = {ch: detect.KernelSpec("linear") for ch in config.channels}
 
-    def job(item: tuple[int, object]) -> tuple[detect.DetectorBank, dict]:
-        idx, leaf = item
+    splits = []  # (train ids, train labels, holdout ids, holdout labels) per leaf
+    for idx, leaf in enumerate(leaves):
         sel = _selection(store, leaf.id)
         pos_ids = [i for i, _ in sel.positives]
         neg_ids = [i for i, _ in sel.negatives]
@@ -412,48 +423,49 @@ def _stage_train(config: PipelineConfig, store: ModelStore, workers: int) -> dic
         rng = np.random.default_rng(seed0 + idx)
         tr_p, ho_p = _holdout_split(pos_ids, config.calibration_holdout, rng)
         tr_n, ho_n = _holdout_split(neg_ids, config.calibration_holdout, rng)
-        train_ids = tr_p + tr_n
-        labels = np.array([1.0] * len(tr_p) + [-1.0] * len(tr_n))
-        feats = features(train_ids)
-        kernels = {ch: detect.KernelSpec("linear") for ch in config.channels}
-        gram = [
-            detect.compute_kernel(feats[ch], feats[ch], kernels[ch])
-            for ch in config.channels
-        ]
-        problem = detect.DetectorTrainingProblem(
-            gram=gram,
-            labels=labels,
-            C=config.C,
-            gamma=config.gamma,
-            channels=list(config.channels),
-            image_ids=train_ids,
-            features=feats,
-            kernels=kernels,
-        )
-        model = detect.train_mklsvm(problem, concept_id=leaf.id)
-        ho_ids = ho_p + ho_n
-        ho_labels = np.array([1.0] * len(ho_p) + [-1.0] * len(ho_n))
+        splits.append((
+            tr_p + tr_n, np.array([1.0] * len(tr_p) + [-1.0] * len(tr_n)),
+            ho_p + ho_n, np.array([1.0] * len(ho_p) + [-1.0] * len(ho_n)),
+        ))
+
+    def problems():
+        for train_ids, labels, _, _ in splits:
+            feats = features(train_ids)
+            yield detect.DetectorTrainingProblem(
+                gram=[
+                    detect.compute_kernel(feats[ch], feats[ch], kernels[ch])
+                    for ch in config.channels
+                ],
+                labels=labels,
+                C=config.C,
+                gamma=config.gamma,
+                channels=list(config.channels),
+                image_ids=train_ids,
+                kernels=kernels,
+            )
+
+    models = detect.train_mklsvm_lockstep(problems(), [leaf.id for leaf in leaves])
+    banks, detectors = [], {}
+    for model, (_, _, ho_ids, ho_labels) in zip(models, splits):
         # calibrate the weights as stored: folded, then rounded to f32
-        bank = detect.DetectorBank.fold(model)
+        support = features(model.support_ids)
+        bank = detect.DetectorBank.fold(replace(model, support_features=support))
         bank.platt[:, 0] = detect.fit_platt(bank.raw_scores(features(ho_ids))[:, 0], ho_labels)
-        return bank, {
+        banks.append(bank)
+        detectors[model.concept_id] = {
             "support_vectors": int(model.alpha.size),
             "beta": [float(b) for b in model.beta],
             "objective": model.objective,
         }
-
-    if not leaves:
-        raise PreconditionError("no verified concepts to train")
-    done = _pmap(job, list(enumerate(leaves)), workers)
-    bank = detect.DetectorBank.concat([b for b, _ in done])
+    bank = detect.DetectorBank.concat(banks)
     header = {
         "concept_ids": bank.concept_ids,
         "bias": bank.bias.tolist(),
         "platt": bank.platt.T.tolist(),
-        "beta": [r["beta"] for _, r in done],
+        "beta": [r["beta"] for r in detectors.values()],
     }
     write_cbdt(store.path("detectors.cbdt"), header, {ch: w.T for ch, w in bank.weights.items()})
-    return {"trained": len(done), "detectors": {b.concept_ids[0]: r for b, r in done}}
+    return {"trained": len(banks), "detectors": detectors}
 
 
 def _holdout_split(

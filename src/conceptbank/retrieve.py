@@ -15,10 +15,10 @@ scores. The chi-square distances between an event's training videos
 are computed once; the bandwidth, every fold's Gram matrix and every
 held-out kernel are taken from that one matrix. Each distance depends
 on its own pair of rows alone, so these equal the kernels computed on
-the fold's rows, bit for bit. The grid's duals (grid points x 2 folds)
-are solved in lockstep, one detect._smo_lockstep call per fold size,
-with the same alphas as one train_mklsvm per dual; only the final refit
-on all videos goes through train_mklsvm.
+the fold's rows, bit for bit. The grid's problems (grid points x 2
+folds) share one dual per (bandwidth, fold) and are solved in one
+detect._smo_lockstep call, with the same alphas as one train_mklsvm per
+problem; only the final refit on all videos goes through train_mklsvm.
 """
 
 from __future__ import annotations
@@ -207,29 +207,37 @@ def _cv_grid(
     folds, in that order: the dual alpha over the train rows, the bias
     and the raw scores of the test rows, equal to train_mklsvm on the
     train rows' chi2 Gram and raw_score_matrix on the test rows. Both
-    kernels come from dist = chi2_distances(x, x), and the duals of
-    each train size are solved in one _smo_lockstep call."""
-    jobs = [(c, bw, tr, te) for c, bw in params for tr, te in (folds, folds[::-1])]
-    fits: list = [None] * len(jobs)
-    for n in sorted({tr.size for _, _, tr, _ in jobs}):
-        group = [k for k, job in enumerate(jobs) if job[2].size == n]
-        qs = np.empty((len(group), n, n))
-        ridge = gamma * np.eye(n)
-        for q, k in zip(qs, group):
-            c, bw, tr, _ = jobs[k]
-            gram = np.exp(-dist[np.ix_(tr, tr)] / bw)
-            problem = DetectorTrainingProblem(gram=[gram], labels=y[tr], C=c, gamma=gamma)
-            # train_mklsvm's dual (y y' o K) + gamma I, written into the stack
-            np.multiply(np.outer(problem.labels, problem.labels), problem.gram[0], out=q)
-            q += ridge
-        ys = np.stack([y[jobs[k][2]] for k in group])
-        cs = [jobs[k][0] for k in group]
-        solved = _smo_lockstep(qs, ys, cs, tol, [event_id] * len(group))
-        for k, (alpha, bias, _) in zip(group, solved):
-            _, bw, tr, te = jobs[k]
-            sv = alpha > 1e-8
-            kernel = np.exp(-dist[np.ix_(te, tr[sv])] / bw)
-            fits[k] = (alpha, bias, kernel @ (alpha[sv] * y[tr][sv]) + bias)
+    kernels come from dist = chi2_distances(x, x). The dual depends on
+    the bandwidth and the fold, not on C, so each distinct one is built
+    once into a zero-padded stack, and all problems are solved in one
+    _smo_lockstep call that indexes it."""
+    if any(c <= 0 for c, _ in params):
+        raise PreconditionError("C must be positive")
+    splits = (folds, folds[::-1])
+    jobs = [(c, bw, f) for c, bw in params for f in range(2)]
+    duals: dict[tuple[float, int], int] = {}  # (bandwidth, split) -> position in the stack
+    for _, bw, f in jobs:
+        duals.setdefault((bw, f), len(duals))
+    n_max = max(tr.size for tr, _ in splits)
+    qs = np.zeros((len(duals), n_max, n_max))
+    for (bw, f), k in duals.items():
+        tr = splits[f][0]
+        gram = np.exp(-dist[np.ix_(tr, tr)] / bw)
+        problem = DetectorTrainingProblem(gram=[gram], labels=y[tr], gamma=gamma)
+        # train_mklsvm's dual (y y' o K) + gamma I, written into the stack
+        q = qs[k, : tr.size, : tr.size]
+        np.multiply(np.outer(problem.labels, problem.labels), problem.gram[0], out=q)
+        q += gamma * np.eye(tr.size)
+    solved = _smo_lockstep(
+        qs, [y[splits[f][0]] for _, _, f in jobs], [c for c, _, _ in jobs], tol,
+        [event_id] * len(jobs), duals=[duals[bw, f] for _, bw, f in jobs],
+    )
+    fits = []
+    for (_, bw, f), (alpha, bias, _) in zip(jobs, solved):
+        tr, te = splits[f]
+        sv = alpha > 1e-8
+        kernel = np.exp(-dist[np.ix_(te, tr[sv])] / bw)
+        fits.append((alpha, bias, kernel @ (alpha[sv] * y[tr][sv]) + bias))
     return fits
 
 

@@ -171,3 +171,36 @@ def fusion_formula(orderings: list[list[str]]):
         scores[v] = acc / d
     fused = sorted(videos, key=lambda v: (-scores[v], v))
     return scores, fused
+
+
+def visualness_cv_ap(positives, negative_pool, seed, C=1.0, gamma=0.01, tol=1e-4) -> float:
+    """verify_visualness's mean 2-fold AP, computed one fold at a time:
+    the whole pool is stacked, the sampled negatives taken from it, and
+    each fold's detector trained alone by train_mklsvm on its own rows."""
+    from conceptbank.detect import DetectorTrainingProblem, KernelSpec, compute_kernel, train_mklsvm
+    from conceptbank.metrics import ap_from_arrays
+
+    channels = list(positives)
+    n_pos = positives[channels[0]].shape[0]
+    rng = np.random.default_rng(seed)
+    neg_rows = np.sort(rng.choice(negative_pool[channels[0]].shape[0], size=n_pos, replace=False))
+    feats = {c: np.vstack([positives[c], negative_pool[c][neg_rows]]) for c in channels}
+    labels = np.concatenate([np.ones(n_pos), -np.ones(n_pos)])
+    pos_order = rng.permutation(n_pos)
+    neg_order = n_pos + rng.permutation(n_pos)
+    half = n_pos // 2
+    fold_a = np.concatenate([pos_order[:half], neg_order[:half]])
+    fold_b = np.concatenate([pos_order[half:], neg_order[half:]])
+    aps = []
+    for train_idx, test_idx in ((fold_a, fold_b), (fold_b, fold_a)):
+        tr = {c: feats[c][train_idx] for c in channels}
+        kernels = {c: KernelSpec("linear") for c in channels}
+        problem = DetectorTrainingProblem(
+            gram=[compute_kernel(tr[c], tr[c], kernels[c]) for c in channels],
+            labels=labels[train_idx], C=C, gamma=gamma,
+            channels=channels, features=tr, kernels=kernels,
+        )
+        model = train_mklsvm(problem, tol=tol)
+        raw = model.raw_score_matrix({c: feats[c][test_idx] for c in channels})
+        aps.append(ap_from_arrays(raw, labels[test_idx] > 0))
+    return float(np.mean(aps))

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conceptbank import detect, pipeline
 from conceptbank.detect import (
     DetectorBank,
     DetectorTrainingProblem,
@@ -19,11 +20,12 @@ from conceptbank.detect import (
     mean_chi2_bandwidth,
     project_simplex,
     train_mklsvm,
+    train_mklsvm_lockstep,
     verify_visualness,
 )
 from conceptbank.errors import PreconditionError
 
-from oracles import kkt_residual, qp_minimum
+from oracles import kkt_residual, qp_minimum, visualness_cv_ap
 
 
 def toy_problem(gamma, C=10.0):
@@ -247,6 +249,138 @@ def test_lockstep_solver_of_an_empty_stack_is_empty():
     assert _smo_lockstep(np.empty((0, 3, 3)), np.empty((0, 3)), [], 1e-4, []) == []
 
 
+def padded(qs) -> np.ndarray:
+    """The duals qs in one stack, zero-padded to the largest n."""
+    n_max = max(q.shape[0] for q in qs)
+    stack = np.zeros((len(qs), n_max, n_max))
+    for slot, q in zip(stack, qs):
+        slot[: q.shape[0], : q.shape[0]] = q
+    return stack
+
+
+def test_padded_warm_started_lockstep_equals_smo_bit_for_bit():
+    rng = np.random.default_rng(11)
+    sizes = [5, 30, 2, 17, 30, 9, 24]
+    duals = [random_duals(rng, 1, n, ties=k % 3 == 2) for k, n in enumerate(sizes)]
+    qs, ys = [q[0] for q, _ in duals], [y[0] for _, y in duals]
+    # each dual twice, at two values of C, so problems share stack entries
+    which = list(range(len(qs))) * 2
+    cs = [float(c) for c in rng.choice([0.05, 1.0, 10.0], size=len(which))]
+    ids = [f"p{k}" for k in range(len(which))]
+    # half the problems warm-start from the solution of a perturbed dual, as the MKL loop does
+    alpha0 = [
+        _smo(0.7 * qs[d] + 0.1 * np.eye(sizes[d]), ys[d], c, 1e-4)[0] for d, c in zip(which, cs)
+    ]
+    starts = [
+        (a, qs[d] @ a - 1.0) if k % 2 else None for k, (d, a) in enumerate(zip(which, alpha0))
+    ]
+    got = _smo_lockstep(
+        padded(qs), [ys[d] for d in which], cs, 1e-4, ids, duals=which, starts=starts
+    )
+    for d, c, start, (alpha, bias, objective) in zip(which, cs, starts, got):
+        want = _smo(qs[d], ys[d], c, 1e-4, None if start is None else start[0])
+        assert np.array_equal(alpha, want[0]) and (bias, objective) == want[1:]
+    assert len({a.size for a, _, _ in got}) == len(set(sizes))
+    # capped at 7 steps, each capped problem warns with its own id, in stack order
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        capped = _smo_lockstep(
+            padded(qs), [ys[d] for d in which], cs, 1e-4, ids, 7, duals=which, starts=starts
+        )
+    warned = []
+    for k, (d, c, start, (alpha, bias, objective)) in enumerate(zip(which, cs, starts, capped)):
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            want = _smo(qs[d], ys[d], c, 1e-4, None if start is None else start[0], max_iter=7)
+        assert np.array_equal(alpha, want[0]) and (bias, objective) == want[1:]
+        warned += [ids[k]] * len(alone)
+    assert [str(w.message) for w in caught] == [
+        f"SMO iteration cap reached before KKT tolerance ({i})" for i in warned
+    ]
+    assert 0 < len(warned) < len(which)
+
+
+def test_lockstep_default_cap_follows_each_problems_own_size():
+    # scaled by 1e14, the violations cannot fall below tol in float64, so
+    # each problem runs to its own cap: 20,050 steps at n = 401, 20,100 at 402
+    rng = np.random.default_rng(5)
+    qs, ys = [], []
+    for n in (401, 402):
+        x = rng.uniform(size=(n, 6))
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        qs.append(1e14 * np.outer(y, y) * compute_kernel(x, x, KernelSpec("chi2", bandwidth=2.0)))
+        ys.append(y)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _smo_lockstep(padded(qs), ys, [1.0, 1.0], 1e-4, ["n401", "n402"])
+        want = [_smo(q, y, 1.0, 1e-4, concept_id=f"n{y.size}") for q, y in zip(qs, ys)]
+    assert [str(w.message) for w in caught] == [
+        f"SMO iteration cap reached before KKT tolerance (n{n})" for n in (401, 402) * 2
+    ]
+    for (alpha, bias, objective), (w_alpha, w_bias, w_objective) in zip(got, want):
+        assert np.array_equal(alpha, w_alpha) and (bias, objective) == (w_bias, w_objective)
+
+
+def mkl_problem(rng, n, m):
+    """A random m-kernel linear problem of n rows, its channels informative to different degrees."""
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    y[:2] = 1.0, -1.0
+    grams = []
+    for _ in range(m):
+        x = rng.normal(size=(n, 3)) + rng.uniform(0, 2) * y[:, None]
+        grams.append(x @ x.T)
+    c = float(rng.choice([0.1, 1.0]))
+    return DetectorTrainingProblem(gram=grams, labels=y, C=c, gamma=0.01)
+
+
+@pytest.mark.parametrize(
+    "sizes, kernels",
+    [
+        ([30, 20, 38, 17, 31, 34, 31, 33], [3, 3, 2, 2, 3, 3, 3, 2]),
+        ([33], [2]),  # a stack of one
+        ([12, 25, 7], [1, 1, 1]),  # m = 1: one solve each
+    ],
+)
+def test_lockstep_mkl_equals_train_mklsvm(monkeypatch, sizes, kernels):
+    rng = np.random.default_rng(4)
+    problems = [mkl_problem(rng, n, m) for n, m in zip(sizes, kernels)]
+    grams = [[g.copy() for g in p.gram] for p in problems]
+    ids = [f"con-{k}" for k in range(len(problems))]
+    got = train_mklsvm_lockstep(problems, ids)
+    # a budget of one value per pass trains each problem in a pass of its own
+    monkeypatch.setattr(detect, "_LOCKSTEP_DOUBLES", 1)
+    alone = train_mklsvm_lockstep(iter(problems), ids)
+
+    solves = dict.fromkeys(ids, 0)
+
+    def counted(*args, concept_id="", **kwargs):
+        solves[concept_id] += 1
+        return _smo(*args, concept_id=concept_id, **kwargs)
+
+    monkeypatch.setattr(detect, "_smo", counted)
+    want = [train_mklsvm(p, concept_id=cid) for p, cid in zip(problems, ids)]
+    assert len(got) == len(alone) == len(problems)
+    for a, b in zip(got + alone, want * 2):
+        assert a.concept_id == b.concept_id and a.support_ids == b.support_ids
+        assert np.array_equal(a.beta, b.beta) and np.array_equal(a.alpha, b.alpha)
+        assert np.array_equal(a.support_rows, b.support_rows)
+        assert (a.bias, a.objective, a.history) == (b.bias, b.objective, b.history)
+        assert a.support_features == {}
+    # the caller's problems are left as they were
+    for p, g in zip(problems, grams):
+        assert all(np.array_equal(x, y) for x, y in zip(p.gram, g))
+    if len(problems) > 1 and max(kernels) > 1:
+        # runs of different lengths, and line searches that reject steps
+        assert len({len(m.history) for m in want}) > 1
+        assert any(solves[m.concept_id] > len(m.history) for m in want)
+    if max(kernels) == 1:
+        assert all(solves[cid] == 1 for cid in ids)
+
+
+def test_lockstep_mkl_of_no_problems_is_empty():
+    assert train_mklsvm_lockstep([], []) == []
+
+
 def test_problem_validation():
     gram = [np.eye(2)]
     with pytest.raises(PreconditionError, match="both classes"):
@@ -388,6 +522,13 @@ def test_visualness_uninformative_features_fail():
     assert report.cv_ap < 0.8
 
 
+@pytest.mark.parametrize("seed, n, separation", [(0, 120, 4.0), (1, 40, 4.0), (2, 120, 0.0), (4, 7, 1.0)])
+def test_visualness_equals_one_fold_at_a_time(seed, n, separation):
+    pos, neg = blobs(seed, n, separation)
+    report = verify_visualness("con-r", pos, neg, seed=seed + 10)
+    assert report.cv_ap == visualness_cv_ap(pos, neg, seed=seed + 10)
+
+
 def test_visualness_guards():
     pos, neg = blobs(3, 8, separation=1.0)
     with pytest.raises(PreconditionError, match="negatives available"):
@@ -395,6 +536,29 @@ def test_visualness_guards():
     one = {ch: m[:1] for ch, m in pos.items()}
     with pytest.raises(PreconditionError, match="at least 2"):
         verify_visualness("con-e", one, neg, seed=0)
+
+
+def test_verify_stage_equals_one_verify_visualness_per_candidate(full_store, corpus_config):
+    # the stage's one batch over all candidates, against verify_visualness on
+    # each candidate alone, given every negative image as its pool
+    config = corpus_config
+    records = pipeline._records(config, pipeline._tree(full_store), pipeline._lexicon(config))
+    features = pipeline._features(full_store)
+    stored = full_store.read_json("reports/visualness.json")
+    candidates = sorted(pipeline._candidates(full_store), key=lambda c: c["concept_id"])
+    for idx, cand in enumerate(candidates):
+        pos = set(cand["image_ids"])
+        neg_ids = [
+            r.image_id for r in records
+            if cand["name"] not in r.canonical_tags() and r.image_id not in pos
+        ]
+        report = verify_visualness(
+            cand["concept_id"], features(cand["image_ids"]), features(neg_ids),
+            seed=config.seed_for("verify") + idx, C=config.C, gamma=config.gamma,
+            ap_threshold=config.cv_ap_threshold, min_training_images=config.min_training_images,
+        )
+        assert stored[cand["concept_id"]] == report.to_dict()
+    assert len(stored) == len(candidates) > 1
 
 
 def test_chi2_kernel_pieces():

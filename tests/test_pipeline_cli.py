@@ -197,6 +197,19 @@ def test_store_loaders_reject_malformed_files(full_store, corpus_dir, tmp_path, 
         assert str(store / relpath) in capsys.readouterr().err, i
 
 
+def test_a_selection_naming_another_concept_exits_3(full_store, corpus_dir, tmp_path, capsys):
+    config = corpus_dir[0] / "config.json"
+    verdicts = full_store.read_json("reports/visualness.json")
+    first, second = sorted(c for c, v in verdicts.items() if v["passed"])[:2]
+    store = tmp_path / "store"
+    shutil.copytree(full_store.root, store)
+    # a well-formed selection, filed under the wrong concept
+    shutil.copyfile(store / f"selections/{second}.json", store / f"selections/{first}.json")
+    assert run_cli("train", "--store", store, "--config", config) == 3
+    err = capsys.readouterr().err
+    assert str(store / f"selections/{first}.json") in err and second in err
+
+
 def test_forcing_a_stage_under_the_same_config_keeps_the_ledger(
     full_store, corpus_dir, tmp_path, capsys
 ):
