@@ -26,11 +26,12 @@ solves pays NumPy's call overhead once per round, not once per problem.
 Duals of different sizes share a stack by zero padding: a padded entry
 has a zero row and column in Q and is in neither working set, and each
 result is read off the problem's unpadded slice, so it is bit for bit
-_smo's, cold or warm-started. The MKL loop is one resumable step
-sequence, _mkl_steps, with two drivers: train_mklsvm answers its inner
-solves with _smo, and train_mklsvm_lockstep answers the k-th solves of
-all its runs still in progress with one _smo_lockstep call (runs are
-grouped so that the Grams and duals held in flight stay bounded).
+_smo's, cold or warm-started. Training runs only the lockstep; _smo is
+the one-dual solver the tests hold it to. The MKL loop is one resumable
+step sequence, _mkl_steps, with one driver: train_mklsvm_lockstep
+answers the k-th solves of all its runs still in progress with one
+_smo_lockstep call (runs are grouped so that the Grams and duals held
+in flight stay bounded), and train_mklsvm is its one-problem case.
 
 Raw margins are mapped to probabilities by a Platt sigmoid fitted on
 held-out scores. A linear detector folds into one primal weight vector
@@ -38,8 +39,8 @@ per channel; a DetectorBank stacks those of many concepts, so one
 product per channel scores them all. Only the chi2 event detector still
 scores through its support vectors. verify_visualness() runs the 2-fold
 cross-validation gate that weeds out concepts whose images are not
-visually coherent; verify_concepts() runs it for many candidates in
-one pass.
+visually coherent; verify_concepts() runs it for many candidates
+through one train_mklsvm_lockstep call.
 """
 
 from __future__ import annotations
@@ -54,8 +55,10 @@ from .errors import PreconditionError
 from .metrics import ap_from_arrays
 
 _TAU = 1e-12
-# values held in flight by one lockstep MKL pass (32 MB of float64)
-_LOCKSTEP_DOUBLES = 4_000_000
+# signed Grams and padded duals (float64 values, 16 MB) at which a lockstep
+# MKL pass closes; at codebook_k = 64 (ROADMAP's paper-like probe) neither
+# verify nor train then peaks above training one problem at a time
+_LOCKSTEP_DOUBLES = 2_000_000
 
 
 @dataclass
@@ -607,8 +610,9 @@ def _mkl_steps(signed: list[np.ndarray], gamma: float, tol: float, max_alternati
     return beta, alpha, bias, best, history
 
 
-def _model(concept_id, y, fit, ids, channels, kernels, features=None):
-    """The DetectorModel of one finished _mkl_steps run on labels y."""
+def _model(concept_id, y, fit, ids, channels, kernels):
+    """The DetectorModel of one finished _mkl_steps run on labels y, with
+    no support features (with_support attaches them)."""
     beta, alpha, bias, objective, history = fit
     sv = alpha > 1e-8
     rows = np.nonzero(sv)[0]
@@ -621,11 +625,33 @@ def _model(concept_id, y, fit, ids, channels, kernels, features=None):
         support_labels=y[sv],
         bias=bias,
         support_ids=[ids[k] for k in rows],
-        support_features={c: np.asarray(f)[sv] for c, f in (features or {}).items()},
+        support_features={},
         kernels=kernels or {},
         objective=objective,
         history=history,
         support_rows=rows,
+    )
+
+
+def with_support(model: DetectorModel, features: dict[str, np.ndarray]) -> DetectorModel:
+    """A copy of model whose support features are taken, by support_rows,
+    from its training rows' features {channel: (n, d) matrix}."""
+    return replace(
+        model,
+        support_features={c: np.asarray(f)[model.support_rows] for c, f in features.items()},
+    )
+
+
+def linear_problem(
+    features: dict[str, np.ndarray], labels: np.ndarray, C: float, gamma: float, image_ids=None
+) -> DetectorTrainingProblem:
+    """A training problem with one linear Gram per channel of features,
+    each compute_kernel(x, x) on one array (the symmetric product)."""
+    kernels = {c: KernelSpec("linear") for c in features}
+    return DetectorTrainingProblem(
+        gram=[compute_kernel(x, x, kernels[c]) for c, x in features.items()],
+        labels=labels, C=C, gamma=gamma, channels=list(features), image_ids=image_ids,
+        kernels=kernels,
     )
 
 
@@ -635,16 +661,11 @@ def train_mklsvm(
     max_alternations: int = 20,
     concept_id: str = "",
 ) -> DetectorModel:
-    """Alternating SMO / reduced-gradient optimization of the dual, each
-    inner solve by _smo."""
-    steps, y, c, _, meta = _mkl_run(problem, concept_id, tol, max_alternations)
-    fit = None
-    while True:
-        try:
-            q, warm = steps.send(fit)
-        except StopIteration as done:
-            return _model(concept_id, y, done.value, *meta, problem.features)
-        fit = _smo(q, y, c, tol, warm, concept_id=concept_id)
+    """Alternating SMO / reduced-gradient optimization of the dual: the
+    one-problem case of train_mklsvm_lockstep, whose lone run takes
+    _smo's steps, with the problem's support features attached."""
+    (model,) = train_mklsvm_lockstep([problem], [concept_id], tol, max_alternations)
+    return with_support(model, problem.features or {})
 
 
 def train_mklsvm_lockstep(
@@ -653,29 +674,31 @@ def train_mklsvm_lockstep(
     tol: float = 1e-4,
     max_alternations: int = 20,
 ) -> list[DetectorModel]:
-    """train_mklsvm on each problem, bit for bit, with the k-th inner
-    solves of all runs still in progress solved as one _smo_lockstep
-    stack. A run in flight holds only its label-signed Grams and labels,
-    so problems may come from a lazy iterator, and the models carry no
-    support features (gather them by support_rows or support_ids).
-    Problems are taken in order into passes whose Grams and duals hold
-    at most _LOCKSTEP_DOUBLES values (one problem at least)."""
-    models, runs, held = [], [], 0
-    for problem, cid in zip(problems, concept_ids):
-        size = (problem.m + 1) * problem.n**2
-        if runs and held + size > _LOCKSTEP_DOUBLES:
+    """The MKL training of each problem, with the k-th inner solves of all
+    runs still in progress solved as one _smo_lockstep stack. A run in
+    flight holds only its label-signed Grams and labels, so problems may
+    come from a lazy iterator, and the models carry no support features
+    (with_support attaches them). Problems are taken in order into a
+    pass until its signed Grams and zero-padded duals reach
+    _LOCKSTEP_DOUBLES values; the pass then runs before the next problem
+    is drawn, so no problem waits in flight."""
+    models, runs, held, n_max = [], [], 0, 0
+    for problem in problems:  # not zip(): its reused result tuple would keep the problem alive
+        held, n_max = held + problem.m * problem.n**2, max(n_max, problem.n)
+        runs.append(_mkl_run(problem, concept_ids[len(models) + len(runs)], tol, max_alternations))
+        del problem  # the run holds its own signed Grams
+        # the stack holds a padded slot per run, plus the dual being copied in
+        if held + (len(runs) + 1) * n_max**2 >= _LOCKSTEP_DOUBLES:
             models += _lockstep_pass(runs, tol)
-            runs, held = [], 0
-        runs.append(_mkl_run(problem, cid, tol, max_alternations))
-        held += size
-    return models + _lockstep_pass(runs, tol)
+            runs, held, n_max = [], 0, 0
+    return models + _lockstep_pass(runs, tol) if runs else models
 
 
 def _lockstep_pass(runs: list, tol: float) -> list[DetectorModel]:
     """One lockstep pass over _mkl_run tuples. Each generation's duals
     are written, zero-padded, into one buffer that every later
     generation reuses."""
-    fits, sent = [None] * len(runs), [None] * len(runs)  # sent: each run's last inner result
+    state = [None] * len(runs)  # each run's last inner result, then its fit
     live = list(range(len(runs)))
     buf = np.empty(len(runs) * max((r[1].size for r in runs), default=0) ** 2)
     while live:
@@ -684,9 +707,9 @@ def _lockstep_pass(runs: list, tol: float) -> list[DetectorModel]:
         pending, starts = [], []
         for k in live:
             try:
-                q, warm = runs[k][0].send(sent[k])
+                q, warm = runs[k][0].send(state[k])
             except StopIteration as done:
-                fits[k] = done.value
+                state[k] = done.value
                 continue
             n = q.shape[0]
             slot = stack[len(pending)]
@@ -698,9 +721,9 @@ def _lockstep_pass(runs: list, tol: float) -> list[DetectorModel]:
             tol, [runs[k][3] for k in pending], starts=starts,
         )
         for k, fit in zip(pending, solved):
-            sent[k] = fit
+            state[k] = fit
         live = pending
-    return [_model(cid, y, fit, *meta) for (_, y, _, cid, meta), fit in zip(runs, fits)]
+    return [_model(cid, y, fit, *meta) for (_, y, _, cid, meta), fit in zip(runs, state)]
 
 
 def _mkl_run(problem: DetectorTrainingProblem, concept_id: str, tol, max_alternations):
@@ -792,21 +815,20 @@ def verify_visualness(
         raise PreconditionError("no feature channels for verification")
     n_pos, n_neg = positives[channels[0]].shape[0], negative_pool[channels[0]].shape[0]
 
-    def rows(_, neg_rows: np.ndarray) -> dict[str, np.ndarray]:
+    def rows(neg_rows: np.ndarray) -> dict[str, np.ndarray]:
         return {
             c: np.vstack([np.asarray(positives[c]), np.asarray(negative_pool[c])[neg_rows]])
             for c in channels
         }
 
     (report,) = verify_concepts(
-        [(concept_id, n_pos, n_neg, seed)], rows, C, gamma, ap_threshold, min_training_images, tol
+        [(concept_id, n_pos, n_neg, seed, rows)], C, gamma, ap_threshold, min_training_images, tol
     )
     return report
 
 
 def verify_concepts(
-    candidates: Sequence[tuple[str, int, int, int]],
-    rows: Callable[[int, np.ndarray], dict[str, np.ndarray]],
+    candidates: Sequence[tuple[str, int, int, int, Callable[[np.ndarray], dict[str, np.ndarray]]]],
     C: float = 1.0,
     gamma: float = 0.01,
     ap_threshold: float = 0.8,
@@ -814,13 +836,13 @@ def verify_concepts(
     tol: float = 1e-4,
 ) -> list[VisualnessReport]:
     """verify_visualness on each candidate (concept id, positive count,
-    negative pool size, seed), with every fold problem trained in one
-    train_mklsvm_lockstep pass. rows(k, neg_rows) gives candidate k's
-    positives, then the pool rows neg_rows, as {channel: matrix}. It is
+    negative pool size, seed, rows), with every fold problem trained in
+    one train_mklsvm_lockstep call. rows(neg_rows) gives the candidate's
+    positives, then its pool rows neg_rows, as {channel: matrix}. It is
     called again after the solves to score the held-out folds, so no
     features are held while problems are in flight."""
     splits = []  # (negative rows, labels, (train, test) folds) per candidate
-    for concept_id, n_pos, n_neg_avail, seed in candidates:
+    for concept_id, n_pos, n_neg_avail, seed, _ in candidates:
         if n_pos < 2:
             raise PreconditionError(f"{concept_id}: need at least 2 images to verify")
         if n_neg_avail < n_pos:
@@ -840,28 +862,24 @@ def verify_concepts(
         splits.append((neg_rows, labels, ((fold_a, fold_b), (fold_b, fold_a))))
 
     def problems():
-        for k, (neg_rows, labels, folds) in enumerate(splits):
-            feats = rows(k, neg_rows)
+        for cand, (neg_rows, labels, folds) in zip(candidates, splits):
+            feats = cand[4](neg_rows)
             for train_idx, _ in folds:
-                tr = [f[train_idx] for f in feats.values()]
-                yield DetectorTrainingProblem(
-                    gram=[compute_kernel(x, x, KernelSpec("linear")) for x in tr],
-                    labels=labels[train_idx], C=C, gamma=gamma, channels=list(feats),
-                    kernels={c: KernelSpec("linear") for c in feats},
+                yield linear_problem(
+                    {c: f[train_idx] for c, f in feats.items()}, labels[train_idx], C, gamma
                 )
 
     ids = [cand[0] for cand in candidates for _ in range(2)]
     models = iter(train_mklsvm_lockstep(problems(), ids, tol=tol))
     reports = []
-    for k, (neg_rows, labels, folds) in enumerate(splits):
-        feats = rows(k, neg_rows)
+    for (concept_id, n_pos, _, _, rows), (neg_rows, labels, folds) in zip(candidates, splits):
+        feats = rows(neg_rows)
         aps = []
         for (train_idx, test_idx), model in zip(folds, models):
-            sv = train_idx[model.support_rows]
-            model = replace(model, support_features={c: f[sv] for c, f in feats.items()})
+            model = with_support(model, {c: f[train_idx] for c, f in feats.items()})
             raw = model.raw_score_matrix({c: f[test_idx] for c, f in feats.items()})
             aps.append(ap_from_arrays(raw, labels[test_idx] > 0))
-        cv_ap, (concept_id, n_pos, _, _) = float(np.mean(aps)), candidates[k]
+        cv_ap = float(np.mean(aps))
         passed = (cv_ap > ap_threshold) and (n_pos >= min_training_images)
         reports.append(VisualnessReport(concept_id, cv_ap, n_pos, passed))
     return reports

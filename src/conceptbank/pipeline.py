@@ -12,7 +12,7 @@ bank from it, candidates.json and reports/visualness.json for the
 stages that need concepts. Independent per-concept / per-event / per-image
 work, and the represent stage's chunks of videos, are sharded over a
 thread pool; verify and train instead train all their detectors in one
-lockstep pass (detect.train_mklsvm_lockstep). Chunks have a fixed size,
+lockstep call (detect.train_mklsvm_lockstep). Chunks have a fixed size,
 a batch encodes each image bit for bit as if alone, every merge happens
 in a fixed order and every random draw uses a seed derived from the
 config, so the store's bytes do not depend on the worker count.
@@ -21,7 +21,7 @@ config, so the store's bytes do not depend on the worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -365,7 +365,10 @@ def _stage_verify(config: PipelineConfig, store: ModelStore, workers: int) -> di
     features = _features(store, [r.image_id for r in records])
     seed0 = config.seed_for("verify")
 
-    reports, runnable = {}, []  # runnable: (concept id, positive ids, negative ids, seed)
+    def rows(pos_ids: list[str], neg_ids: list[str]) -> Callable[[np.ndarray], dict]:
+        return lambda neg_rows: features(pos_ids + [neg_ids[r] for r in neg_rows])
+
+    reports, runnable = {}, []  # runnable: detect.verify_concepts's candidates
     for idx, cand in enumerate(candidates):
         cid, name = cand["concept_id"], cand["name"]
         pos_ids = cand["image_ids"]
@@ -378,15 +381,10 @@ def _stage_verify(config: PipelineConfig, store: ModelStore, workers: int) -> di
         if len(pos_ids) < 2 or len(neg_ids) < len(pos_ids):
             reports[cid] = detect.VisualnessReport(cid, 0.0, len(pos_ids), False)
         else:
-            runnable.append((cid, pos_ids, neg_ids, seed0 + idx))
-
-    def rows(k: int, neg_rows: np.ndarray) -> dict[str, np.ndarray]:
-        _, pos_ids, neg_ids, _ = runnable[k]
-        return features(pos_ids + [neg_ids[r] for r in neg_rows])
+            runnable.append((cid, len(pos_ids), len(neg_ids), seed0 + idx, rows(pos_ids, neg_ids)))
 
     verified = detect.verify_concepts(
-        [(cid, len(pos_ids), len(neg_ids), seed) for cid, pos_ids, neg_ids, seed in runnable],
-        rows,
+        runnable,
         C=config.C,
         gamma=config.gamma,
         ap_threshold=config.cv_ap_threshold,
@@ -408,7 +406,6 @@ def _stage_train(config: PipelineConfig, store: ModelStore, workers: int) -> dic
     if not leaves:
         raise PreconditionError("no verified concepts to train")
     seed0 = config.seed_for("train")
-    kernels = {ch: detect.KernelSpec("linear") for ch in config.channels}
 
     splits = []  # (train ids, train labels, holdout ids, holdout labels) per leaf
     for idx, leaf in enumerate(leaves):
@@ -430,26 +427,15 @@ def _stage_train(config: PipelineConfig, store: ModelStore, workers: int) -> dic
 
     def problems():
         for train_ids, labels, _, _ in splits:
-            feats = features(train_ids)
-            yield detect.DetectorTrainingProblem(
-                gram=[
-                    detect.compute_kernel(feats[ch], feats[ch], kernels[ch])
-                    for ch in config.channels
-                ],
-                labels=labels,
-                C=config.C,
-                gamma=config.gamma,
-                channels=list(config.channels),
-                image_ids=train_ids,
-                kernels=kernels,
+            yield detect.linear_problem(
+                features(train_ids), labels, config.C, config.gamma, train_ids
             )
 
     models = detect.train_mklsvm_lockstep(problems(), [leaf.id for leaf in leaves])
     banks, detectors = [], {}
-    for model, (_, _, ho_ids, ho_labels) in zip(models, splits):
+    for model, (train_ids, _, ho_ids, ho_labels) in zip(models, splits):
         # calibrate the weights as stored: folded, then rounded to f32
-        support = features(model.support_ids)
-        bank = detect.DetectorBank.fold(replace(model, support_features=support))
+        bank = detect.DetectorBank.fold(detect.with_support(model, features(train_ids)))
         bank.platt[:, 0] = detect.fit_platt(bank.raw_scores(features(ho_ids))[:, 0], ho_labels)
         banks.append(bank)
         detectors[model.concept_id] = {

@@ -173,11 +173,29 @@ def fusion_formula(orderings: list[list[str]]):
     return scores, fused
 
 
+def mkl_by_smo(problem, tol=1e-4, max_alternations=20, concept_id=""):
+    """train_mklsvm one problem at a time, each inner solve of its MKL
+    loop (detect._mkl_steps) answered by detect._smo alone. Returns the
+    model, with its support features, and the number of inner solves."""
+    from conceptbank import detect
+
+    steps, y, c, _, meta = detect._mkl_run(problem, concept_id, tol, max_alternations)
+    fit, solves = None, 0
+    while True:
+        try:
+            q, warm = steps.send(fit)
+        except StopIteration as done:
+            model = detect._model(concept_id, y, done.value, *meta)
+            return detect.with_support(model, problem.features or {}), solves
+        fit = detect._smo(q, y, c, tol, warm, concept_id=concept_id)
+        solves += 1
+
+
 def visualness_cv_ap(positives, negative_pool, seed, C=1.0, gamma=0.01, tol=1e-4) -> float:
     """verify_visualness's mean 2-fold AP, computed one fold at a time:
     the whole pool is stacked, the sampled negatives taken from it, and
-    each fold's detector trained alone by train_mklsvm on its own rows."""
-    from conceptbank.detect import DetectorTrainingProblem, KernelSpec, compute_kernel, train_mklsvm
+    each fold's detector trained alone by mkl_by_smo on its own rows."""
+    from conceptbank.detect import DetectorTrainingProblem, KernelSpec, compute_kernel
     from conceptbank.metrics import ap_from_arrays
 
     channels = list(positives)
@@ -200,7 +218,7 @@ def visualness_cv_ap(positives, negative_pool, seed, C=1.0, gamma=0.01, tol=1e-4
             labels=labels[train_idx], C=C, gamma=gamma,
             channels=channels, features=tr, kernels=kernels,
         )
-        model = train_mklsvm(problem, tol=tol)
+        model, _ = mkl_by_smo(problem, tol=tol)
         raw = model.raw_score_matrix({c: feats[c][test_idx] for c in channels})
         aps.append(ap_from_arrays(raw, labels[test_idx] > 0))
     return float(np.mean(aps))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from conceptbank.detect import (
 )
 from conceptbank.errors import PreconditionError
 
-from oracles import kkt_residual, qp_minimum, visualness_cv_ap
+from oracles import kkt_residual, mkl_by_smo, qp_minimum, visualness_cv_ap
 
 
 def toy_problem(gamma, C=10.0):
@@ -341,26 +342,19 @@ def mkl_problem(rng, n, m):
         ([12, 25, 7], [1, 1, 1]),  # m = 1: one solve each
     ],
 )
-def test_lockstep_mkl_equals_train_mklsvm(monkeypatch, sizes, kernels):
+def test_lockstep_mkl_equals_one_smo_per_solve(monkeypatch, sizes, kernels):
     rng = np.random.default_rng(4)
     problems = [mkl_problem(rng, n, m) for n, m in zip(sizes, kernels)]
     grams = [[g.copy() for g in p.gram] for p in problems]
     ids = [f"con-{k}" for k in range(len(problems))]
     got = train_mklsvm_lockstep(problems, ids)
-    # a budget of one value per pass trains each problem in a pass of its own
+    single = [train_mklsvm(p, concept_id=cid) for p, cid in zip(problems, ids)]
+    # a bound of one value per pass trains each problem in a pass of its own
     monkeypatch.setattr(detect, "_LOCKSTEP_DOUBLES", 1)
     alone = train_mklsvm_lockstep(iter(problems), ids)
-
-    solves = dict.fromkeys(ids, 0)
-
-    def counted(*args, concept_id="", **kwargs):
-        solves[concept_id] += 1
-        return _smo(*args, concept_id=concept_id, **kwargs)
-
-    monkeypatch.setattr(detect, "_smo", counted)
-    want = [train_mklsvm(p, concept_id=cid) for p, cid in zip(problems, ids)]
+    want, solves = zip(*(mkl_by_smo(p, concept_id=cid) for p, cid in zip(problems, ids)))
     assert len(got) == len(alone) == len(problems)
-    for a, b in zip(got + alone, want * 2):
+    for a, b in zip(got + alone + single, want * 3):
         assert a.concept_id == b.concept_id and a.support_ids == b.support_ids
         assert np.array_equal(a.beta, b.beta) and np.array_equal(a.alpha, b.alpha)
         assert np.array_equal(a.support_rows, b.support_rows)
@@ -372,9 +366,69 @@ def test_lockstep_mkl_equals_train_mklsvm(monkeypatch, sizes, kernels):
     if len(problems) > 1 and max(kernels) > 1:
         # runs of different lengths, and line searches that reject steps
         assert len({len(m.history) for m in want}) > 1
-        assert any(solves[m.concept_id] > len(m.history) for m in want)
+        assert any(k > len(m.history) for m, k in zip(want, solves))
     if max(kernels) == 1:
-        assert all(solves[cid] == 1 for cid in ids)
+        assert all(k == 1 for k in solves)
+
+
+def test_lockstep_passes_are_bounded_with_their_padding(monkeypatch):
+    rng = np.random.default_rng(6)
+    problems = [mkl_problem(rng, n, 1) for n in (40, 10, 10, 10)]
+    ids = [f"con-{k}" for k in range(len(problems))]
+    drawn, passes = [], []
+
+    def lazy():
+        for p in problems:
+            drawn.append(p)
+            yield p
+
+    def recorded(runs, tol):
+        passes.append(([r[1].size for r in runs], len(drawn)))
+        return run_pass(runs, tol)
+
+    run_pass = detect._lockstep_pass
+    monkeypatch.setattr(detect, "_lockstep_pass", recorded)
+    # the Grams alone (1,900 values) fit 7,000, but every slot of a pass's
+    # stack is padded to its largest n: 1,800 + 4 * 1,600 = 8,200 values
+    # once the third problem is in, so the pass runs then
+    monkeypatch.setattr(detect, "_LOCKSTEP_DOUBLES", 7_000)
+    got = train_mklsvm_lockstep(lazy(), ids)
+    # each pass runs before the next problem is drawn
+    assert passes == [([40, 10, 10], 3), ([10], 4)]
+    for a, p, cid in zip(got, problems, ids):
+        b, _ = mkl_by_smo(p, concept_id=cid)
+        assert np.array_equal(a.alpha, b.alpha) and (a.bias, a.objective) == (b.bias, b.objective)
+
+
+def test_a_lockstep_pass_holds_no_problem(monkeypatch):
+    # only the runs' own signed Grams are held: no problem is alive while a
+    # pass runs, neither its own nor the next one drawn
+    rng = np.random.default_rng(7)
+    refs, passes = [], []
+
+    def tracked(problem):
+        refs.append(weakref.ref(problem))
+        return problem
+
+    def lazy():  # holds no problem between draws, as the pipeline's generators
+        for n in (12, 15, 9):
+            yield tracked(mkl_problem(rng, n, 2))
+
+    def checked(runs, tol):
+        assert refs and all(r() is None for r in refs)
+        passes.append(len(refs))
+        return run_pass(runs, tol)
+
+    run_pass = detect._lockstep_pass
+    monkeypatch.setattr(detect, "_lockstep_pass", checked)
+    assert len(train_mklsvm_lockstep(lazy(), ["a", "b", "c"])) == 3
+    assert passes == [3]
+    # with a pass per problem, each runs before the next problem is drawn
+    monkeypatch.setattr(detect, "_LOCKSTEP_DOUBLES", 1)
+    refs.clear()
+    passes.clear()
+    assert len(train_mklsvm_lockstep(lazy(), ["a", "b", "c"])) == 3
+    assert passes == [1, 2, 3]
 
 
 def test_lockstep_mkl_of_no_problems_is_empty():
