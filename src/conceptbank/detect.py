@@ -19,19 +19,19 @@ moves beta along the reduced gradient and projects back onto the
 simplex, accepting only steps that lower the inner optimum. The tracked
 objective is therefore non-increasing.
 
-Two solvers run that one working-set rule and share its pair update:
-_smo solves one dual, and _smo_lockstep a stack of independent duals,
-one pair step per running problem per round, so a batch of small
-solves pays NumPy's call overhead once per round, not once per problem.
-Duals of different sizes share a stack by zero padding: a padded entry
-has a zero row and column in Q and is in neither working set, and each
-result is read off the problem's unpadded slice, so it is bit for bit
-_smo's, cold or warm-started. Training runs only the lockstep; _smo is
-the one-dual solver the tests hold it to. The MKL loop is one resumable
-step sequence, _mkl_steps, with one driver: train_mklsvm_lockstep
-answers the k-th solves of all its runs still in progress with one
-_smo_lockstep call (runs are grouped so that the Grams and duals held
-in flight stay bounded), and train_mklsvm is its one-problem case.
+Training solves with _smo_lockstep: a stack of independent duals, one
+pair step per running problem per round, so a batch of small solves
+pays NumPy's call overhead once per round, not once per problem. Duals
+of different sizes share a stack by zero padding: a padded entry has a
+zero row and column in Q and is in neither working set, and each result
+is read off the problem's unpadded slice, so it is bit for bit that of
+_smo_steps, the same pair updates on one dual, cold or warm-started;
+the tests check it against tests/oracles.py's smo, which runs
+_smo_steps on one dual. The MKL loop is one resumable step sequence,
+_mkl_steps, with one driver: train_mklsvm_lockstep answers the k-th
+solves of all its runs still in progress with one _smo_lockstep call
+(runs are grouped so that the Grams and duals held in flight stay
+bounded), and train_mklsvm is its one-problem case.
 
 Raw margins are mapped to probabilities by a Platt sigmoid fitted on
 held-out scores. A linear detector folds into one primal weight vector
@@ -77,20 +77,25 @@ class KernelSpec:
 
 def chi2_distances(x: np.ndarray, z: np.ndarray, eps: float = 1e-10) -> np.ndarray:
     """Pairwise chi-square distances sum (x-z)^2 / (x+z+eps), chunked over
-    rows of z so each (n, block, d) intermediate holds ~250k doubles (at
-    least one row of z). Every entry sums its own contiguous row of d
-    terms, so it does not depend on the block size or on the other rows:
-    a sub-block of the result equals the distances of those rows alone."""
+    rows of z so each of the two (n, block, d) intermediates holds ~64k
+    doubles (at least one row of z) and is updated in place: 0.5 MB
+    blocks stay in cache and add little to a stage's peak memory. Every
+    entry sums its own contiguous row of d terms, so it does not depend on
+    the block size or on the other rows: a sub-block of the result equals
+    the distances of those rows alone."""
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     n, d = x.shape
     out = np.empty((n, z.shape[0]), dtype=np.float64)
-    block = max(1, int(250_000 // max(1, n * d)))
+    block = max(1, int(64_000 // max(1, n * d)))
     for start in range(0, z.shape[0], block):
         zb = z[start : start + block]
         diff = x[:, None, :] - zb[None, :, :]
-        denom = x[:, None, :] + zb[None, :, :] + eps
-        out[:, start : start + block] = (diff * diff / denom).sum(axis=2)
+        denom = x[:, None, :] + zb[None, :, :]
+        denom += eps
+        diff *= diff
+        diff /= denom
+        out[:, start : start + block] = diff.sum(axis=2)
     return out
 
 
@@ -397,37 +402,10 @@ def _cap_warning(concept_id: str) -> str:
     return f"SMO iteration cap reached before KKT tolerance ({concept_id or 'unnamed'})"
 
 
-def _smo(
-    q: np.ndarray,
-    y: np.ndarray,
-    c: float,
-    tol: float,
-    alpha0: np.ndarray | None = None,
-    *,
-    concept_id: str = "",
-    max_iter: int | None = None,
-) -> tuple[np.ndarray, float, float]:
-    """Minimize 1/2 a'Qa - 1'a subject to a'y = 0, 0 <= a <= C by
-    pairwise updates on a second-order working set: i is the maximal
-    violator, j the partner with the largest guaranteed decrease.
-    Stops when the maximal violation drops below tol > 0, or warns after
-    max_iter updates (default max(20000, 50 n)). Returns (alpha, bias, objective)."""
-    if not tol > 0:
-        raise PreconditionError(f"SMO tolerance must be > 0, got {tol}")
-    n = y.size
-    alpha = np.zeros(n) if alpha0 is None else alpha0.copy()
-    grad = q @ alpha - 1.0 if alpha0 is not None else -np.ones(n)
-    pos = y > 0
-    # up / low: who may move up / down along y; only alpha[i], alpha[j] change per update
-    up = (pos & (alpha < c - _TAU)) | (~pos & (alpha > _TAU))
-    low = (~pos & (alpha < c - _TAU)) | (pos & (alpha > _TAU))
-    steps = max(20_000, 50 * n) if max_iter is None else max_iter
-    return _smo_steps(q, y, c, tol, alpha, grad, up, low, steps, concept_id)
-
-
 def _smo_steps(q, y, c, tol, alpha, grad, up, low, steps, concept_id):
-    """_smo's pair updates from the state (alpha, grad, up, low), which
-    they change in place: at most `steps` of them, then a cap warning."""
+    """Pair updates on one dual from the state (alpha, grad, up, low), which
+    they change in place, until the maximal violation drops below tol: at
+    most `steps` of them, then a cap warning. Returns (alpha, bias, objective)."""
     pos = y > 0
     diag = np.diag(q).copy()
     for _ in range(steps):
@@ -466,20 +444,22 @@ def _smo_lockstep(
     duals: Sequence[int] | None = None,
     starts: Sequence[tuple[np.ndarray, np.ndarray] | None] | None = None,
 ) -> list[tuple[np.ndarray, float, float]]:
-    """_smo on each of a stack of independent duals: qs is (s, N, N), each
+    """Minimize 1/2 a'Qa - 1'a subject to a'y = 0, 0 <= a <= C by pairwise
+    updates, for each of a stack of independent duals: qs is (s, N, N), each
     Q symmetric as train_mklsvm forms it and zero-padded past its own n;
     ys holds each problem's (n,) labels, cs and ids one entry per problem,
     duals the index in qs of each problem's Q (default: its own). A start
     (alpha0, grad0) warm-starts a problem, with grad0 = Q @ alpha0 - 1
-    computed on the problem's own contiguous Q, as _smo computes it.
+    computed on the problem's own contiguous Q, as oracles.smo computes it.
 
     Each round makes one pair step on every problem still running, with
-    _smo's working-set choice (same first-index ties), clipping and
+    _smo_steps's working-set choice (same first-index ties), clipping and
     gradient update row by row, so every (alpha, bias, objective) is bit
-    for bit that of _smo on the problem alone. A problem leaves the round
-    when it meets tol, or after max_iter steps (default max(20000, 50 n),
-    of its own n) with a warning naming its id. The last problem left
-    goes on in _smo's loop, _smo_steps, from the same state.
+    for bit that of the one-dual oracle (tests/oracles.py's smo) on the
+    problem alone. A problem leaves the round when it meets tol, or after
+    max_iter steps (default max(20000, 50 n), of its own n) with a
+    warning naming its id. The last problem left goes on in _smo_steps
+    from the same state.
     """
     if not tol > 0:
         raise PreconditionError(f"SMO tolerance must be > 0, got {tol}")
@@ -509,7 +489,7 @@ def _smo_lockstep(
     at, c_tau = np.arange(p) * n_max, np.tile(c - _TAU, 2)
     steps, next_cap = 0, cap.min()
     while live.size:
-        if live.size == 1:  # a lone problem goes on as _smo, whose steps cost less
+        if live.size == 1:  # a lone problem goes on in _smo_steps, whose steps cost less
             n, k = sizes[0], live[0]
             out[k] = _smo_steps(
                 qs[dual[0], :n, :n], y[0, :n], float(c[0]), tol, alpha[0, :n].copy(),
@@ -663,7 +643,7 @@ def train_mklsvm(
 ) -> DetectorModel:
     """Alternating SMO / reduced-gradient optimization of the dual: the
     one-problem case of train_mklsvm_lockstep, whose lone run takes
-    _smo's steps, with the problem's support features attached."""
+    _smo_steps's steps, with the problem's support features attached."""
     (model,) = train_mklsvm_lockstep([problem], [concept_id], tol, max_alternations)
     return with_support(model, problem.features or {})
 

@@ -9,9 +9,9 @@ hash, writes only files that no other stage writes, and rewrites
 byte-identical outputs when re-run on unchanged inputs. So ontology.json
 stays the bare hierarchy, and _concept_tree derives the verified concept
 bank from it, candidates.json and reports/visualness.json for the
-stages that need concepts. Independent per-concept / per-event / per-image
-work, and the represent stage's chunks of videos, are sharded over a
-thread pool; verify and train instead train all their detectors in one
+stages that need concepts. Independent per-concept / per-image work,
+and the represent stage's chunks of videos, are sharded over a thread
+pool; verify, train and detect instead train all their detectors in one
 lockstep call (detect.train_mklsvm_lockstep). Chunks have a fixed size,
 a batch encodes each image bit for bit as if alone, every merge happens
 in a fixed order and every random draw uses a seed derived from the
@@ -35,7 +35,7 @@ from .formats import (
 )
 from .metrics import LabeledRanking, average_precision
 from .ontology import ConceptBankTree, load_hierarchy
-from .retrieve import detect_events, train_event_detector, zero_shot_retrieve
+from .retrieve import detect_events, train_event_detectors, zero_shot_retrieve
 from .store import ModelStore
 
 ENCODE_CHUNK = 64  # images per encode batch; fixed, so batches never depend on workers
@@ -562,31 +562,28 @@ def _stage_detect(config: PipelineConfig, store: ModelStore, workers: int) -> di
     train_reps = _load_reps(store, "train")
     test_reps = _load_reps(store, "test")
     labels = _video_labels(config, tree, config.path("video_manifest_train"))
-    events = _sorted_events(tree)
     seed0 = config.seed_for("event")
-
-    def job(item: tuple[int, object]) -> tuple[str, dict]:
-        idx, event = item
-        positives = {vid for vid, eid in labels.items() if eid == event.id}
-        det = train_event_detector(
-            event.id, train_reps, positives, seed=seed0 + idx
-        )
+    detectors = train_event_detectors(
+        [
+            (event.id, {vid for vid, eid in labels.items() if eid == event.id}, seed0 + idx)
+            for idx, event in enumerate(_sorted_events(tree))
+        ],
+        train_reps,
+    )
+    rankings = detect_events(detectors, test_reps)
+    for det in detectors:
         store.save_event_detector(det)
-        ranking = detect_events([det], test_reps)[event.id]
         store.write_json(
-            f"reports/detection/{event.id}.json",
+            f"reports/detection/{det.event_id}.json",
             {
-                "event_id": event.id,
-                "ranking": [[vid, score] for vid, score in ranking],
+                "event_id": det.event_id,
+                "ranking": [[vid, score] for vid, score in rankings[det.event_id]],
                 "cv_ap": det.cv_ap,
                 "C": det.C,
                 "bandwidth_scale": det.bandwidth_scale,
             },
         )
-        return event.id, {"cv_ap": det.cv_ap, "C": det.C}
-
-    done = _pmap(job, list(enumerate(events)), workers)
-    return {"events": dict(done)}
+    return {"events": {det.event_id: {"cv_ap": det.cv_ap, "C": det.C} for det in detectors}}
 
 
 def _stage_eval(config: PipelineConfig, store: ModelStore, workers: int) -> dict:
@@ -596,18 +593,17 @@ def _stage_eval(config: PipelineConfig, store: ModelStore, workers: int) -> dict
         raise PreconditionError("missing upstream: retrieve or detect")
     truth = _video_labels(config, tree, config.path("video_manifest_test"))
     out: dict = {}
-    for side, stage, report_dir, key in (
-        ("zero_shot", "retrieve", "retrieval", "ordering"),
-        ("supervised", "detect", "detection", "ranking"),
+    for side, stage, report_dir, key, kind in (
+        ("zero_shot", "retrieve", "retrieval", "ordering", list),
+        ("supervised", "detect", "detection", "ranking", (str, float)),
     ):
         if stage not in manifest:
             continue
         per_event = {}
         for event in _sorted_events(tree):
-            doc = store.read_json(f"reports/{report_dir}/{event.id}.json")
-            ordering = [
-                row[0] if isinstance(row, list) else row for row in doc[key]
-            ]
+            relpath = f"reports/{report_dir}/{event.id}.json"
+            (doc,) = store.checked(relpath, [store.read_json(relpath)], {key: kind})
+            ordering = doc[key] if kind is list else [row[0] for row in doc[key]]
             relevance = {vid: int(truth.get(vid) == event.id) for vid in ordering}
             per_event[event.id] = average_precision(
                 LabeledRanking(tuple(ordering), relevance)

@@ -11,14 +11,15 @@ training labels by construction.
 Supervised: a one-vs-all SVM with chi-square kernel over concatenated
 plan representations, hyperparameters picked by seeded 2-fold
 cross-validation on AP, probabilities calibrated on the held-out fold
-scores. The chi-square distances between an event's training videos
-are computed once; the bandwidth, every fold's Gram matrix and every
-held-out kernel are taken from that one matrix. Each distance depends
-on its own pair of rows alone, so these equal the kernels computed on
-the fold's rows, bit for bit. The grid's problems (grid points x 2
-folds) share one dual per (bandwidth, fold) and are solved in one
-detect._smo_lockstep call, with the same alphas as one train_mklsvm per
-problem; only the final refit on all videos goes through train_mklsvm.
+scores. Every event trains on the same videos, so train_event_detectors
+computes their chi-square distances once per call; the bandwidth, every
+fold's Gram, every held-out kernel and every refit's Gram are taken from
+that one matrix. Each distance depends on its own pair of rows alone, so
+these equal the kernels computed on the fold's rows, bit for bit. An
+event's grid problems (grid points x 2 folds) share one dual per
+(bandwidth, fold) and are solved in one detect._smo_lockstep call, with
+the same alphas as one train_mklsvm per problem; the refits of all
+events on all videos are trained in one train_mklsvm_lockstep pass.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ from .detect import (
     KernelSpec,
     _smo_lockstep,
     chi2_distances,
-    compute_kernel,
+    compute_kernel,  # unused here; bench/tests/test_tracer.py checks that retrieve binds it
     fit_platt,
     mean_chi2_bandwidth,
-    train_mklsvm,
+    train_mklsvm_lockstep,
+    with_support,
 )
 from .errors import PreconditionError
 from .metrics import ap_from_arrays
@@ -251,75 +253,96 @@ def train_event_detector(
     gamma: float = 0.0,
     tol: float = 1e-4,
 ) -> EventDetector:
-    """One-vs-all chi-square SVM over video representations.
+    """One-vs-all chi-square SVM over video representations: the
+    one-event case of train_event_detectors."""
+    (det,) = train_event_detectors(
+        [(event_id, positive_video_ids, seed)], reps, C_grid, bandwidth_scales, gamma, tol
+    )
+    return det
 
-    (C, bandwidth scale) are picked by 2-fold CV maximizing AP (ties go
-    to the earlier grid entry); the final model is refit on all videos
-    and calibrated on the concatenated held-out fold scores.
+
+def train_event_detectors(
+    events: Sequence[tuple[str, set[str], int]],
+    reps: Sequence[VideoRepresentation],
+    C_grid: Sequence[float] = CV_C_GRID,
+    bandwidth_scales: Sequence[float] = CV_BANDWIDTH_SCALES,
+    gamma: float = 0.0,
+    tol: float = 1e-4,
+) -> list[EventDetector]:
+    """One detector per (event id, positive video ids, seed) of events,
+    all trained on the same videos reps.
+
+    Per event, (C, bandwidth scale) are picked by 2-fold CV maximizing AP
+    (ties go to the earlier grid entry); the final model is refit on all
+    videos and calibrated on the concatenated held-out fold scores. The
+    refits are trained in one train_mklsvm_lockstep call, their Grams
+    drawn one at a time from the shared distance matrix.
     """
     if not reps:
         raise PreconditionError("no training representations")
     layout = reps[0].concept_ids
     x = _stack_reps(reps, layout)
-    y = np.array(
-        [1.0 if rep.video_id in positive_video_ids else -1.0 for rep in reps]
-    )
-    n_pos = int((y > 0).sum())
-    n_neg = int((y < 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise PreconditionError(f"event {event_id}: one-class training set")
+    ids = [rep.video_id for rep in reps]
+    labels = []
+    for event_id, positives, _ in events:
+        y = np.array([1.0 if vid in positives else -1.0 for vid in ids])
+        if np.all(y > 0) or np.all(y < 0):
+            raise PreconditionError(f"event {event_id}: one-class training set")
+        labels.append(y)
 
     dist = chi2_distances(x, x)
     base_bw = mean_chi2_bandwidth(dist)
-    can_cv = n_pos >= 2 and n_neg >= 2
-    if can_cv:
-        folds = _stratified_folds(y, seed)
-        grid = list(itertools.product(C_grid, bandwidth_scales))
-        fits = _cv_grid(
-            dist, y, folds, [(c, base_bw * scale) for c, scale in grid], gamma, tol, event_id
-        )
-        best = None  # (ap, -grid_pos) maximized
-        best_params = (1.0, 1.0)
-        best_cv = (np.zeros(0), np.zeros(0))
-        for grid_pos, (c, scale) in enumerate(grid):
-            cv_scores = np.empty(y.size)
-            for (_, te_idx), fit in zip((folds, folds[::-1]), fits[2 * grid_pos : 2 * grid_pos + 2]):
-                cv_scores[te_idx] = fit[2]
-            ap = ap_from_arrays(cv_scores, y > 0)
-            key = (ap, -grid_pos)
-            if best is None or key > best:
-                best = key
-                best_params = (c, scale)
-                best_cv = (cv_scores.copy(), y.copy())
-        c_sel, scale_sel = best_params
-        cv_ap = best[0] if best is not None else 0.0
-    else:
-        c_sel, scale_sel = 1.0, 1.0
-        cv_ap = 0.0
-        best_cv = (None, None)
+    grid = list(itertools.product(C_grid, bandwidth_scales))
+    picks = [  # (C, bandwidth scale, CV AP, held-out scores or None) per event
+        _cv_pick(dist, y, seed, grid, base_bw, gamma, tol, event_id)
+        for (event_id, _, seed), y in zip(events, labels)
+    ]
 
-    spec = KernelSpec("chi2", bandwidth=base_bw * scale_sel)
-    gram = compute_kernel(x, x, spec)
-    problem = DetectorTrainingProblem(
-        gram=[gram], labels=y, C=c_sel, gamma=gamma,
-        channels=["rep"], features={"rep": x},
-        kernels={"rep": spec},
-        image_ids=[rep.video_id for rep in reps],
+    def problems():
+        for (c, scale, _, _), y in zip(picks, labels):
+            spec = KernelSpec("chi2", bandwidth=base_bw * scale)
+            # the Gram compute_kernel(x, x, spec) gives, from dist
+            yield DetectorTrainingProblem(
+                gram=[np.exp(-dist / spec.bandwidth)], labels=y, C=c, gamma=gamma,
+                channels=["rep"], kernels={"rep": spec}, image_ids=ids,
+            )
+
+    models = train_mklsvm_lockstep(problems(), [event_id for event_id, _, _ in events], tol)
+    detectors = []
+    for (event_id, _, _), y, (c, scale, cv_ap, cv_scores), model in zip(events, labels, picks, models):
+        model = with_support(model, {"rep": x})
+        if cv_scores is None:
+            cv_scores = model.raw_score_matrix({"rep": x})
+        model.platt = fit_platt(cv_scores, y)
+        detectors.append(EventDetector(
+            event_id=event_id, concept_ids=list(layout), model=model, C=c,
+            bandwidth=base_bw * scale, bandwidth_scale=scale, cv_ap=float(cv_ap),
+        ))
+    return detectors
+
+
+def _cv_pick(
+    dist: np.ndarray, y: np.ndarray, seed: int, grid: Sequence[tuple[float, float]],
+    base_bw: float, gamma: float, tol: float, event_id: str,
+) -> tuple[float, float, float, np.ndarray | None]:
+    """(C, bandwidth scale, CV AP, held-out scores) of the grid entry with
+    the best 2-fold CV AP; with fewer than 2 videos of a class, CV is
+    impossible and the defaults (1.0, 1.0, 0.0, None) are used."""
+    picked = (1.0, 1.0, 0.0, None)
+    if min((y > 0).sum(), (y < 0).sum()) < 2:
+        return picked
+    folds = _stratified_folds(y, seed)
+    fits = _cv_grid(
+        dist, y, folds, [(c, base_bw * scale) for c, scale in grid], gamma, tol, event_id
     )
-    model = train_mklsvm(problem, tol=tol, concept_id=event_id)
-    if best_cv[0] is not None:
-        model.platt = fit_platt(best_cv[0], best_cv[1])
-    else:
-        model.platt = fit_platt(model.raw_score_matrix({"rep": x}), y)
-    return EventDetector(
-        event_id=event_id,
-        concept_ids=list(layout),
-        model=model,
-        C=c_sel,
-        bandwidth=spec.bandwidth,
-        bandwidth_scale=scale_sel,
-        cv_ap=float(cv_ap),
-    )
+    for grid_pos, (c, scale) in enumerate(grid):
+        cv_scores = np.empty(y.size)
+        for (_, te_idx), fit in zip((folds, folds[::-1]), fits[2 * grid_pos : 2 * grid_pos + 2]):
+            cv_scores[te_idx] = fit[2]
+        ap = ap_from_arrays(cv_scores, y > 0)
+        if grid_pos == 0 or ap > picked[2]:  # ties go to the earlier entry
+            picked = (c, scale, ap, cv_scores)
+    return picked
 
 
 def detect_events(

@@ -155,27 +155,30 @@ def plan_from_dict(doc: dict, source: str = "plan") -> QueryPlan:
     return QueryPlan(query=doc["query"], selections=[(c, float(s)) for c, s in sel], n=doc["n"])
 
 
+def _table_lines(path: str | Path, kind: str) -> list[str]:
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read {kind} {path}: {exc}") from exc
+
+
 def load_word_pairs(path: str | Path) -> dict[tuple[str, str], float]:
     """Word-pair table: TSV rows of word<TAB>word<TAB>similarity."""
     pairs: dict[tuple[str, str], float] = {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read word-pair table: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_table_lines(path, "word-pair table"), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 3:
-            raise DataFormatError(f"word pairs line {lineno}: expected 3 columns")
+            raise DataFormatError(f"word pairs {path} line {lineno}: expected 3 columns")
         try:
             value = float(parts[2])
         except ValueError:
             raise DataFormatError(
-                f"word pairs line {lineno}: bad similarity {parts[2]!r}"
+                f"word pairs {path} line {lineno}: bad similarity {parts[2]!r}"
             ) from None
         if math.isnan(value):
-            raise DataFormatError(f"word pairs line {lineno}: NaN similarity")
+            raise DataFormatError(f"word pairs {path} line {lineno}: NaN similarity")
         pairs[(parts[0], parts[1])] = value
     return pairs
 
@@ -183,26 +186,22 @@ def load_word_pairs(path: str | Path) -> dict[tuple[str, str], float]:
 def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
     """Embedding table: one line per word, word then float components."""
     table: dict[str, np.ndarray] = {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read embedding table: {exc}") from exc
     dim = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_table_lines(path, "embedding table"), start=1):
         if not line.strip():
             continue
         parts = line.split()
         if len(parts) < 2:
-            raise DataFormatError(f"embeddings line {lineno}: word plus components")
+            raise DataFormatError(f"embeddings {path} line {lineno}: word plus components")
         try:
             vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
         except ValueError:
-            raise DataFormatError(f"embeddings line {lineno}: bad component") from None
+            raise DataFormatError(f"embeddings {path} line {lineno}: bad component") from None
         if dim is None:
             dim = vec.size
         elif vec.size != dim:
             raise DataFormatError(
-                f"embeddings line {lineno}: dimension {vec.size} != {dim}"
+                f"embeddings {path} line {lineno}: dimension {vec.size} != {dim}"
             )
         table[parts[0]] = vec
     return table

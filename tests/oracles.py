@@ -173,10 +173,34 @@ def fusion_formula(orderings: list[list[str]]):
     return scores, fused
 
 
+def smo(q, y, c, tol, alpha0=None, *, concept_id="", max_iter=None):
+    """Minimize 1/2 a'Qa - 1'a subject to a'y = 0, 0 <= a <= C on one dual
+    by detect's pair updates (detect._smo_steps) on a second-order working
+    set: i is the maximal violator, j the partner with the largest
+    guaranteed decrease. Stops when the maximal violation drops below
+    tol > 0, or warns after max_iter updates (default max(20000, 50 n)).
+    Returns (alpha, bias, objective). It is the one-dual reference that
+    detect._smo_lockstep must match bit for bit."""
+    from conceptbank import detect
+    from conceptbank.errors import PreconditionError
+
+    if not tol > 0:
+        raise PreconditionError(f"SMO tolerance must be > 0, got {tol}")
+    n = y.size
+    alpha = np.zeros(n) if alpha0 is None else alpha0.copy()
+    grad = q @ alpha - 1.0 if alpha0 is not None else -np.ones(n)
+    pos = y > 0
+    # up / low: who may move up / down along y; only alpha[i], alpha[j] change per update
+    up = (pos & (alpha < c - detect._TAU)) | (~pos & (alpha > detect._TAU))
+    low = (~pos & (alpha < c - detect._TAU)) | (pos & (alpha > detect._TAU))
+    steps = max(20_000, 50 * n) if max_iter is None else max_iter
+    return detect._smo_steps(q, y, c, tol, alpha, grad, up, low, steps, concept_id)
+
+
 def mkl_by_smo(problem, tol=1e-4, max_alternations=20, concept_id=""):
     """train_mklsvm one problem at a time, each inner solve of its MKL
-    loop (detect._mkl_steps) answered by detect._smo alone. Returns the
-    model, with its support features, and the number of inner solves."""
+    loop (detect._mkl_steps) answered by smo alone. Returns the model,
+    with its support features, and the number of inner solves."""
     from conceptbank import detect
 
     steps, y, c, _, meta = detect._mkl_run(problem, concept_id, tol, max_alternations)
@@ -187,7 +211,7 @@ def mkl_by_smo(problem, tol=1e-4, max_alternations=20, concept_id=""):
         except StopIteration as done:
             model = detect._model(concept_id, y, done.value, *meta)
             return detect.with_support(model, problem.features or {}), solves
-        fit = detect._smo(q, y, c, tol, warm, concept_id=concept_id)
+        fit = smo(q, y, c, tol, warm, concept_id=concept_id)
         solves += 1
 
 

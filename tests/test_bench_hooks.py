@@ -54,3 +54,11 @@ def test_every_per_layer_span_name_exists_in_the_package(monkeypatch):
         assert fn.__module__ == module.__name__, metric
         checked += 1
     assert checked
+
+
+def test_retrieve_still_binds_compute_kernel():
+    # bench/tests/test_tracer.py checks that the tracer wraps compute_kernel
+    # under both module names, though retrieve no longer calls it
+    from conceptbank import detect, retrieve
+
+    assert retrieve.compute_kernel is detect.compute_kernel

@@ -11,7 +11,6 @@ from conceptbank import detect, pipeline
 from conceptbank.detect import (
     DetectorBank,
     DetectorTrainingProblem,
-    _smo,
     _smo_lockstep,
     KernelSpec,
     VisualnessReport,
@@ -26,7 +25,7 @@ from conceptbank.detect import (
 )
 from conceptbank.errors import PreconditionError
 
-from oracles import kkt_residual, mkl_by_smo, qp_minimum, visualness_cv_ap
+from oracles import kkt_residual, mkl_by_smo, qp_minimum, smo, visualness_cv_ap
 
 
 def toy_problem(gamma, C=10.0):
@@ -158,7 +157,7 @@ def test_solver_converges_on_near_duplicate_rows(seed):
 
 
 def toy_dual(gamma=0.01):
-    """(Q, y) of toy_problem's dual, as train_mklsvm hands them to _smo."""
+    """(Q, y) of toy_problem's dual, as train_mklsvm hands them to its SMO solver."""
     problem = toy_problem(gamma=gamma)
     y = problem.labels
     return np.outer(y, y) * problem.gram[0] + gamma * np.eye(2), y
@@ -168,7 +167,7 @@ def test_iteration_cap_warning_names_the_concept():
     # one pair update is all the solve may make, so it stops at its cap
     q, y = toy_dual()
     with pytest.warns(RuntimeWarning, match=r"^SMO iteration cap.*con-cap"):
-        _smo(q, y, 10.0, 1e-4, concept_id="con-cap", max_iter=1)
+        smo(q, y, 10.0, 1e-4, concept_id="con-cap", max_iter=1)
     # the lockstep solver: one warning per capped problem, each naming its own id
     ids = ["con-cap-a", "con-cap-b", "con-cap-c"]
     with warnings.catch_warnings(record=True) as caught:
@@ -184,7 +183,7 @@ def test_iteration_cap_warning_names_the_concept():
 def test_non_positive_tolerance_is_rejected(tol):
     q, y = toy_dual()
     with pytest.raises(PreconditionError, match="tolerance must be > 0"):
-        _smo(q, y, 10.0, tol)
+        smo(q, y, 10.0, tol)
     with pytest.raises(PreconditionError, match="tolerance must be > 0"):
         _smo_lockstep(q[None], y[None], [10.0], tol, ["con-tol"])
     with pytest.raises(PreconditionError, match="tolerance must be > 0"):
@@ -229,7 +228,7 @@ def test_lockstep_solver_equals_smo_bit_for_bit(seed, n, cs, ties):
     got = _smo_lockstep(qs, ys, cs, 1e-4, ids)
     assert len(got) == len(cs)
     for q, y, c, (alpha, bias, objective) in zip(qs, ys, cs, got):
-        want_alpha, want_bias, want_objective = _smo(q, y, c, 1e-4)
+        want_alpha, want_bias, want_objective = smo(q, y, c, 1e-4)
         assert np.array_equal(alpha, want_alpha)
         assert bias == want_bias and objective == want_objective
     if seed == 0:
@@ -237,12 +236,12 @@ def test_lockstep_solver_equals_smo_bit_for_bit(seed, n, cs, ties):
     if ties:
         # repeated (row, label) pairs keep their -y grad equal at every step
         assert all(len(np.unique(np.column_stack([q, y]), axis=0)) < n for q, y in zip(qs, ys))
-    # capped mid-way, each problem still equals _smo capped at the same count
+    # capped mid-way, each problem still equals smo capped at the same count
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         capped = _smo_lockstep(qs, ys, cs, 1e-4, ids, max_iter=7)
         for q, y, c, (alpha, bias, objective) in zip(qs, ys, cs, capped):
-            want = _smo(q, y, c, 1e-4, max_iter=7)
+            want = smo(q, y, c, 1e-4, max_iter=7)
             assert np.array_equal(alpha, want[0]) and (bias, objective) == want[1:]
 
 
@@ -270,7 +269,7 @@ def test_padded_warm_started_lockstep_equals_smo_bit_for_bit():
     ids = [f"p{k}" for k in range(len(which))]
     # half the problems warm-start from the solution of a perturbed dual, as the MKL loop does
     alpha0 = [
-        _smo(0.7 * qs[d] + 0.1 * np.eye(sizes[d]), ys[d], c, 1e-4)[0] for d, c in zip(which, cs)
+        smo(0.7 * qs[d] + 0.1 * np.eye(sizes[d]), ys[d], c, 1e-4)[0] for d, c in zip(which, cs)
     ]
     starts = [
         (a, qs[d] @ a - 1.0) if k % 2 else None for k, (d, a) in enumerate(zip(which, alpha0))
@@ -279,7 +278,7 @@ def test_padded_warm_started_lockstep_equals_smo_bit_for_bit():
         padded(qs), [ys[d] for d in which], cs, 1e-4, ids, duals=which, starts=starts
     )
     for d, c, start, (alpha, bias, objective) in zip(which, cs, starts, got):
-        want = _smo(qs[d], ys[d], c, 1e-4, None if start is None else start[0])
+        want = smo(qs[d], ys[d], c, 1e-4, None if start is None else start[0])
         assert np.array_equal(alpha, want[0]) and (bias, objective) == want[1:]
     assert len({a.size for a, _, _ in got}) == len(set(sizes))
     # capped at 7 steps, each capped problem warns with its own id, in stack order
@@ -292,7 +291,7 @@ def test_padded_warm_started_lockstep_equals_smo_bit_for_bit():
     for k, (d, c, start, (alpha, bias, objective)) in enumerate(zip(which, cs, starts, capped)):
         with warnings.catch_warnings(record=True) as alone:
             warnings.simplefilter("always")
-            want = _smo(qs[d], ys[d], c, 1e-4, None if start is None else start[0], max_iter=7)
+            want = smo(qs[d], ys[d], c, 1e-4, None if start is None else start[0], max_iter=7)
         assert np.array_equal(alpha, want[0]) and (bias, objective) == want[1:]
         warned += [ids[k]] * len(alone)
     assert [str(w.message) for w in caught] == [
@@ -314,7 +313,7 @@ def test_lockstep_default_cap_follows_each_problems_own_size():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = _smo_lockstep(padded(qs), ys, [1.0, 1.0], 1e-4, ["n401", "n402"])
-        want = [_smo(q, y, 1.0, 1e-4, concept_id=f"n{y.size}") for q, y in zip(qs, ys)]
+        want = [smo(q, y, 1.0, 1e-4, concept_id=f"n{y.size}") for q, y in zip(qs, ys)]
     assert [str(w.message) for w in caught] == [
         f"SMO iteration cap reached before KKT tolerance (n{n})" for n in (401, 402) * 2
     ]
@@ -635,7 +634,7 @@ def test_chi2_kernel_pieces():
 @pytest.mark.parametrize("d", [3, 48, 301])
 def test_chi2_distances_of_a_sub_block_equal_the_full_matrix(d):
     # each entry sums its own row of d terms: neither the other rows nor
-    # the block budget (~250k doubles of z rows per chunk) may change it
+    # the block budget (~64k doubles of z rows per chunk) may change it
     rng = np.random.default_rng(d)
     x = rng.uniform(0.0, 1.0, size=(200, d))
     full = chi2_distances(x, x)  # 200 * d doubles per z row: chunked

@@ -197,6 +197,31 @@ def test_store_loaders_reject_malformed_files(full_store, corpus_dir, tmp_path, 
         assert str(store / relpath) in capsys.readouterr().err, i
 
 
+def test_eval_rejects_malformed_ranking_reports(full_store, corpus_dir, tmp_path, capsys):
+    config = corpus_dir[0] / "config.json"
+    store = tmp_path / "store"
+    shutil.copytree(full_store.root, store)
+    event = min(p.stem for p in (store / "reports" / "detection").glob("*.json"))
+    mutations = [  # (name, report doc and its ranking key -> corrupted doc)
+        ("list root", lambda d, k: []),
+        ("null root", lambda d, k: None),
+        ("key missing", lambda d, k: {x: v for x, v in d.items() if x != k}),
+        ("key null", lambda d, k: {**d, k: None}),
+        ("key a string", lambda d, k: {**d, k: "abc"}),
+        ("wrong-typed rows", lambda d, k: {**d, k: [[1]]}),
+    ]
+    for report_dir, key in (("retrieval", "ordering"), ("detection", "ranking")):
+        path = store / "reports" / report_dir / f"{event}.json"
+        original = path.read_text()
+        for name, mutate in mutations:
+            path.write_text(json.dumps(mutate(json.loads(original), key)))
+            assert run_cli("eval", "--store", store, "--config", config) == 3, (report_dir, name)
+            err = capsys.readouterr().err
+            assert str(path) in err and "Traceback" not in err, (report_dir, name)
+        path.write_text(original)
+    assert run_cli("eval", "--store", store, "--config", config) == 0
+
+
 def test_a_selection_naming_another_concept_exits_3(full_store, corpus_dir, tmp_path, capsys):
     config = corpus_dir[0] / "config.json"
     verdicts = full_store.read_json("reports/visualness.json")

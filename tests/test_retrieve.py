@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conceptbank import detect, pipeline, retrieve
 from conceptbank.cli import main
 from conceptbank.detect import (
     DetectorTrainingProblem,
@@ -28,6 +29,7 @@ from conceptbank.retrieve import (
     fuse,
     rank_list_from_scores,
     train_event_detector,
+    train_event_detectors,
     zero_shot_retrieve,
 )
 from conceptbank.semmatch import SimilarityProvider, select_concepts
@@ -35,7 +37,7 @@ from conceptbank.store import ModelStore
 from conceptbank.videorep import VideoRepresentation
 
 from conftest import small_tree
-from oracles import fusion_formula
+from oracles import fusion_formula, mkl_by_smo
 
 
 def rl(concept_id, ordering):
@@ -296,3 +298,85 @@ def test_cv_folds_from_the_shared_distance_matrix_are_exact():
                 assert bias == direct.bias
                 assert np.array_equal(scores, direct.raw_score_matrix({"rep": x[te]}))
         assert next(fits, None) is None
+
+
+def three_events(seed=0):
+    """36 videos in three groups of 12, and three events on them: two
+    with a group each as positives, one with a single positive video
+    (too few to cross-validate)."""
+    rng = np.random.default_rng(seed)
+    layout = ["con-a", "con-b", "con-c", "con-d"]
+    centers = ([0.8, 0.2, 0.1, 0.3], [0.1, 0.8, 0.2, 0.3], [0.2, 0.1, 0.8, 0.3])
+    reps = [
+        rep(f"g{g}-{i:02d}", layout, np.clip(np.array(c) + 0.1 * rng.normal(size=4), 0, 1))
+        for i in range(12)
+        for g, c in enumerate(centers)
+    ]
+    events = [
+        ("evt-0000", {f"g0-{i:02d}" for i in range(12)}, 3),
+        ("evt-0001", {f"g1-{i:02d}" for i in range(12)}, 4),
+        ("evt-0002", {"g2-05"}, 5),
+    ]
+    return reps, events
+
+
+def test_a_batch_of_events_equals_one_detector_per_event():
+    reps, events = three_events()
+    batch = train_event_detectors(events, reps)
+    assert [det.event_id for det in batch] == [event_id for event_id, _, _ in events]
+    for (event_id, positives, seed), det in zip(events, batch):
+        alone = train_event_detector(event_id, reps, positives, seed=seed)
+        got, want = det.model, alone.model
+        assert np.array_equal(got.alpha, want.alpha) and got.bias == want.bias
+        assert got.support_ids == want.support_ids and got.platt == want.platt
+        assert np.array_equal(got.support_features["rep"], want.support_features["rep"])
+        assert (det.C, det.bandwidth, det.bandwidth_scale, det.cv_ap) == (
+            alone.C, alone.bandwidth, alone.bandwidth_scale, alone.cv_ap
+        )
+    assert batch[0].cv_ap > 0.9 and batch[2].cv_ap == 0.0
+
+
+def test_each_event_refit_equals_the_one_dual_reference():
+    reps, events = three_events(seed=1)
+    x = np.stack([r.scores for r in reps])
+    ids = [r.video_id for r in reps]
+    base_bw = mean_chi2_bandwidth(chi2_distances(x, x))
+    for (event_id, positives, _), det in zip(events, train_event_detectors(events, reps)):
+        assert det.bandwidth == base_bw * det.bandwidth_scale
+        spec = KernelSpec("chi2", bandwidth=det.bandwidth)
+        problem = DetectorTrainingProblem(
+            gram=[compute_kernel(x, x, spec)],
+            labels=[1.0 if vid in positives else -1.0 for vid in ids], C=det.C, gamma=0.0,
+            channels=["rep"], features={"rep": x}, kernels={"rep": spec}, image_ids=ids,
+        )
+        want, _ = mkl_by_smo(problem, concept_id=event_id)
+        got = det.model
+        assert np.array_equal(got.alpha, want.alpha) and got.bias == want.bias
+        assert got.support_ids == want.support_ids
+        assert np.array_equal(got.support_features["rep"], want.support_features["rep"])
+
+
+def test_a_one_class_event_in_a_batch_is_named():
+    reps, events = three_events()
+    everyone = {r.video_id for r in reps}
+    for bad in (("evt-none", set(), 1), ("evt-all", everyone, 1)):
+        with pytest.raises(PreconditionError, match=f"event {bad[0]}: one-class"):
+            train_event_detectors([events[0], bad, events[1]], reps)
+
+
+def test_detect_stage_computes_the_training_distances_once(
+    full_store, corpus_config, tmp_path, monkeypatch
+):
+    store = ModelStore(tmp_path / "store")
+    shutil.copytree(full_store.root, store.root)
+    train = np.stack([r.scores for r in pipeline._load_reps(store, "train")])
+    original, calls = detect.chi2_distances, []
+
+    def counted(x, z, *args, **kwargs):
+        calls.append(np.array_equal(x, train) and np.array_equal(z, train))
+        return original(x, z, *args, **kwargs)
+
+    monkeypatch.setattr(detect, "chi2_distances", counted)
+    monkeypatch.setattr(retrieve, "chi2_distances", counted)
+    run_stage("detect", corpus_config, store.root)
+    assert calls.count(True) == 1 and len(calls) > 1  # the rest score test videos

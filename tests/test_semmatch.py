@@ -231,14 +231,19 @@ def test_word_pair_table_parsing(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("# comment\ndog\tcat\t0.6\n\nsun\tmoon\t0.25\n", encoding="utf-8")
     assert load_word_pairs(path) == {("dog", "cat"): 0.6, ("sun", "moon"): 0.25}
-    path.write_text("dog\tcat\n", encoding="utf-8")
-    with pytest.raises(DataFormatError, match="3 columns"):
-        load_word_pairs(path)
-    path.write_text("dog\tcat\tnot-a-float\n", encoding="utf-8")
-    with pytest.raises(DataFormatError, match="bad similarity"):
-        load_word_pairs(path)
-    with pytest.raises(DataFormatError, match="cannot read"):
+    for body, message in (
+        ("dog\tcat\n", "3 columns"),
+        ("dog\tcat\tnot-a-float\n", "bad similarity"),
+        ("dog\tcat\tnan\n", "NaN similarity"),
+        (b"dog\tcat\t\xff\n", "cannot read"),
+    ):
+        path.write_bytes(body if isinstance(body, bytes) else body.encode())
+        with pytest.raises(DataFormatError, match=message) as err:
+            load_word_pairs(path)
+        assert str(path) in str(err.value)
+    with pytest.raises(DataFormatError, match="cannot read") as err:
         load_word_pairs(tmp_path / "absent.tsv")
+    assert str(tmp_path / "absent.tsv") in str(err.value)
 
 
 def test_embedding_table_parsing(tmp_path):
@@ -247,9 +252,15 @@ def test_embedding_table_parsing(tmp_path):
     table = load_embeddings(path)
     assert set(table) == {"dog", "cat"}
     assert np.array_equal(table["dog"], [1.0, 0.0])
-    path.write_text("dog 1.0 0.0\ncat 0.5\n", encoding="utf-8")
-    with pytest.raises(DataFormatError, match="dimension"):
-        load_embeddings(path)
-    path.write_text("dog x y\n", encoding="utf-8")
-    with pytest.raises(DataFormatError, match="bad component"):
-        load_embeddings(path)
+    for body, message in (
+        ("dog 1.0 0.0\ncat 0.5\n", "dimension"),
+        ("dog x y\n", "bad component"),
+        ("dog\n", "word plus components"),
+    ):
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(DataFormatError, match=message) as err:
+            load_embeddings(path)
+        assert str(path) in str(err.value)
+    with pytest.raises(DataFormatError, match="cannot read") as err:
+        load_embeddings(tmp_path / "absent.txt")
+    assert str(tmp_path / "absent.txt") in str(err.value)
