@@ -9,6 +9,15 @@ L1-normalized, so a K=1,000 codebook yields the 8,000-dim channel vector.
 Features stay in one format from here to training: a batch of images
 encodes to {channel: (images x 8K)}, one row per image.
 
+A batch of image paths is loaded as one stack per channel: every
+descriptor file is read whole with plain system calls and all are
+checked and converted in one array pass (formats.decode_cbfv), giving
+one (patches x (2 + dim)) record array and per-image patch counts. The
+encoder takes that stack directly and builds a batch's pyramids with one
+np.bincount. A file that fails the check is loaded alone
+(load_descriptors), so the error that skips its image names it; .ppm
+images are loaded alone too, their builtin descriptors in float64.
+
 Two built-in descriptors (gray-patch, color-hist) over dense 20x20
 patches with 50% overlap keep the whole pipeline testable without any
 external feature extractor; production channels arrive as CBFV files.
@@ -23,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, PreconditionError
-from .formats import read_cbfv, read_ppm
+from .formats import decode_cbfv, read_cbfv, read_ppm
 
 PATCH_SIZE = 20
 PATCH_STRIDE = 10  # 50% overlap
@@ -32,6 +41,7 @@ PYRAMID_BLOCKS = sum(r * c for r, c in PYRAMID_GRIDS)  # 8
 BUILTIN_CHANNELS = ("gray-patch", "color-hist")
 # Rows per soft_assign call: 4096 x 1000 float64 distances are 32 MB.
 ASSIGN_ROWS = 4096
+_READ_SIZE = 1 << 16  # bytes per os.read of a descriptor file
 
 
 @dataclass
@@ -200,43 +210,75 @@ def encode_images(
 ) -> dict[str, np.ndarray]:
     """Encode images that share their channels into pyramid histograms,
     {channel: (images x PYRAMID_BLOCKS * k)}, each row bit for bit as if
-    its image were alone. sizes[i] is image i's (width, height); a patch
-    adds to the one block per level that contains its center. Patches
-    are sorted per image, so their order does not matter. BLAS rounds a
-    product row differently next to other rows, so distances are taken
-    per stack of images with equal patch counts. No images give a
-    (0, dim) matrix per codebook channel."""
+    its image were alone. sizes[i] is image i's (width, height). The
+    blocks are stacked into _encode_stacked's form."""
     channels = list(blocks_list[0]) if blocks_list else list(codebooks)
+    stacked = {ch: _stack([blocks[ch] for blocks in blocks_list]) for ch in channels}
+    return _encode_stacked(stacked, codebooks, np.asarray(sizes, dtype=np.float64), soft_k)
+
+
+def _stack(blocks: list[DescriptorBlock]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if not blocks:
+        return np.empty((0, 2)), np.empty((0, 0)), np.empty(0, dtype=np.intp)
+    return (
+        np.concatenate([b.grid_positions for b in blocks]),
+        np.concatenate([b.vectors for b in blocks]),
+        np.array([b.vectors.shape[0] for b in blocks]),
+    )
+
+
+def _encode_stacked(
+    stacked: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
+    codebooks: dict[str, Codebook],
+    sizes: np.ndarray,
+    soft_k: int,
+) -> dict[str, np.ndarray]:
+    """encode_images of descriptors stacked per channel as (positions
+    (patches x 2), vectors (patches x dim), counts (images,)): image i's
+    patches are the counts[i] rows after those of images 0 .. i-1.
+    sizes is (images x 2) widths and heights; a patch adds to the one
+    block per level that contains its center. Patches are sorted per
+    image, so their order does not matter. BLAS rounds a product row
+    differently next to other rows, so distances are taken per stack of
+    images with equal patch counts. A pyramid sums each bin's weights in
+    patch order, as one np.bincount over (image, block, codeword) bins.
+    No images give a (0, dim) matrix per channel."""
     # a non-positive extent puts every patch in the first cell
-    extents = np.asarray(sizes, dtype=np.float64).reshape(-1, 2)
+    extents = sizes.reshape(-1, 2)
     extents = np.where(extents > 0, extents, np.inf)
     out = {}
-    for channel in channels:
+    for channel, (positions, vectors, counts) in stacked.items():
         codebook = codebooks.get(channel)
         if codebook is None:
             raise PreconditionError(f"channel without codebook: {channel}")
-        counts = np.array([b[channel].vectors.shape[0] for b in blocks_list])
         if not counts.all():
             raise PreconditionError(f"channel {channel}: zero patches")
-        out[channel] = np.empty((len(blocks_list), PYRAMID_BLOCKS * codebook.k))
+        k = codebook.k
+        out[channel] = np.empty((len(counts), PYRAMID_BLOCKS * k))
+        starts = np.cumsum(counts) - counts
         for n in np.unique(counts):
             group = np.flatnonzero(counts == n)
-            pos = np.stack([blocks_list[i][channel].grid_positions for i in group])
-            vec = np.stack([blocks_list[i][channel].vectors for i in group])
-            order = np.lexsort((pos[..., 0], pos[..., 1]))[..., None]  # per image
-            pos, vec = np.take_along_axis(pos, order, 1), np.take_along_axis(vec, order, 1)
+            at = starts[group, None] + np.arange(n)
+            pos = positions[at]
+            at = np.take_along_axis(at, np.lexsort((pos[..., 0], pos[..., 1])), 1)  # per image
+            pos, vec = positions[at], vectors[at]
             step = max(1, ASSIGN_ROWS // n)
             parts = [soft_assign(vec[s : s + step], codebook, soft_k)
                      for s in range(0, len(group), step)]
             idx, w = (np.concatenate(a) for a in zip(*parts))
 
-            hist = np.zeros((len(group), PYRAMID_BLOCKS, codebook.k), dtype=np.float64)
-            image, size, offset = np.arange(len(group))[:, None, None], extents[group, None], 0
-            for rows, cols in PYRAMID_GRIDS:
-                r = _grid_index(pos[..., 1], size[..., 1], rows)
-                c = _grid_index(pos[..., 0], size[..., 0], cols)
-                np.add.at(hist, (image, (offset + r * cols + c)[..., None], idx), w)
+            image, size, offset = np.arange(len(group))[:, None], extents[group], 0
+            bins = np.empty((len(PYRAMID_GRIDS), *idx.shape), dtype=np.intp)
+            for level, (rows, cols) in enumerate(PYRAMID_GRIDS):
+                r = _grid_index(pos[..., 1], size[:, 1:], rows)
+                c = _grid_index(pos[..., 0], size[:, :1], cols)
+                block = image * PYRAMID_BLOCKS + offset + r * cols + c
+                np.add((block * k)[..., None], idx, out=bins[level])
                 offset += rows * cols
+            hist = np.bincount(
+                bins.ravel(), np.tile(w.ravel(), len(PYRAMID_GRIDS)),
+                minlength=len(group) * PYRAMID_BLOCKS * k,
+            ).reshape(len(group), PYRAMID_BLOCKS, k)
             sums = hist.sum(axis=2, keepdims=True)
             np.divide(hist, sums, out=hist, where=sums > 0)
             out[channel][group] = hist.reshape(len(group), -1)
@@ -248,14 +290,13 @@ def _grid_index(coords: np.ndarray, extent: np.ndarray, cells: int) -> np.ndarra
     return np.clip(idx, 0, cells - 1)
 
 
-def infer_image_size(positions: np.ndarray) -> tuple[float, float]:
-    """Nominal (width, height) from dense-grid patch centers: the last
+def infer_image_sizes(positions: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Nominal (width, height) rows from dense-grid patch centers, image i
+    owning the counts[i] rows after those of images 0 .. i-1: the last
     center sits half a patch from the image edge."""
-    margin = PATCH_SIZE / 2.0
-    return (
-        float(positions[:, 0].max()) + margin,
-        float(positions[:, 1].max()) + margin,
-    )
+    if not len(counts):
+        return np.empty((0, 2))
+    return np.maximum.reduceat(positions, np.cumsum(counts) - counts) + PATCH_SIZE / 2.0
 
 
 def builtin_descriptors(pixels: np.ndarray, channel: str) -> DescriptorBlock:
@@ -346,34 +387,87 @@ def encode_paths(
 def encode_path_groups(
     groups: list[list], codebooks: dict[str, Codebook], soft_k: int = 5
 ) -> list[tuple[list, list[tuple[object, Exception]], dict[str, np.ndarray]]]:
-    """encode_paths for each group of paths, all in one encode_images
-    batch. A group's matrices are views of the batch's rows, which are
-    bit for bit those of encoding the group alone; a path named twice is
-    loaded and encoded twice."""
+    """encode_paths for each group of paths, all in one batch loaded as
+    the module docstring says. A group's matrices are views of the
+    batch's rows, which are bit for bit those of encoding the group
+    alone; a path named twice is loaded and encoded twice."""
     if not codebooks:
         raise PreconditionError("no channels configured")
-    parts, loaded = [], []
-    for paths in groups:
+    paths = [path for group in groups for path in group]
+    errors, stacked = _load_stacked(paths, codebooks)
+    positions, _, counts = stacked[next(iter(codebooks))]
+    matrices = _encode_stacked(stacked, codebooks, infer_image_sizes(positions, counts), soft_k)
+    out, i, row = [], 0, 0
+    for group in groups:
         kept, bad = [], []
-        for path in paths:
-            try:
-                blocks = {ch: load_descriptors(path, ch) for ch in codebooks}
-                for ch, block in blocks.items():
-                    (n, dim), want = block.vectors.shape, codebooks[ch].centers.shape[1]
-                    if not n or dim != want:
-                        raise DataFormatError(
-                            f"{path}.{ch}.cbfv: {n} patches of dim {dim}, codebook dim {want}"
-                        )
-            except (DataFormatError, PreconditionError) as exc:
-                bad.append((path, exc))
+        for path in group:
+            if i in errors:
+                bad.append((path, errors[i]))
             else:
                 kept.append(path)
-                loaded.append(blocks)
-        parts.append((kept, bad))
-    sizes = [infer_image_size(next(iter(b.values())).grid_positions) for b in loaded]
-    matrices = encode_images(loaded, codebooks, sizes, soft_k)
-    out, row = [], 0
-    for kept, bad in parts:
+            i += 1
         out.append((kept, bad, {ch: m[row : row + len(kept)] for ch, m in matrices.items()}))
         row += len(kept)
     return out
+
+
+def _load_stacked(
+    paths: list, codebooks: dict[str, Codebook]
+) -> tuple[dict[int, Exception], dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """({index: error} of the paths that cannot be encoded, the other
+    paths' descriptors in _encode_stacked's form, in path order)."""
+    names = [os.fspath(path) for path in paths]
+    cbfv = [i for i, name in enumerate(names) if os.path.splitext(name)[1] != ".ppm"]
+    decoded = {
+        ch: decode_cbfv([_read_whole(f"{names[i]}.{ch}.cbfv") for i in cbfv], book.centers.shape[1])
+        for ch, book in codebooks.items()
+    }
+    good = np.logical_and.reduce([ok for ok, _, _ in decoded.values()])
+    stacked = {}
+    for ch, (ok, records, counts) in decoded.items():
+        if not good.all():  # drop the rows of images another channel failed
+            keep = good[ok]
+            records, counts = records[np.repeat(keep, counts)], counts[keep]
+        stacked[ch] = (records[:, :2], records[:, 2:], counts)
+    fast = np.zeros(len(paths), dtype=bool)
+    fast[cbfv] = good
+    errors, slow = {}, {}
+    for i in np.flatnonzero(~fast).tolist():  # load alone: names a bad file
+        try:
+            blocks = {ch: load_descriptors(paths[i], ch) for ch in codebooks}
+            for ch, block in blocks.items():
+                (n, dim), want = block.vectors.shape, codebooks[ch].centers.shape[1]
+                if not n or dim != want:
+                    raise DataFormatError(
+                        f"{paths[i]}.{ch}.cbfv: {n} patches of dim {dim}, codebook dim {want}"
+                    )
+        except (DataFormatError, PreconditionError) as exc:
+            errors[i] = exc
+        else:
+            slow[i] = blocks
+    if slow:  # .ppm images, or a file that changed between two reads
+        pieces = {
+            ch: zip(np.split(p, np.cumsum(c)[:-1]), np.split(v, np.cumsum(c)[:-1]))
+            for ch, (p, v, c) in stacked.items()
+        }
+        blocks = [
+            slow[i] if i in slow else {ch: DescriptorBlock(ch, *next(pieces[ch])) for ch in codebooks}
+            for i in range(len(paths)) if i not in errors
+        ]
+        stacked = {ch: _stack([b[ch] for b in blocks]) for ch in codebooks}
+    return errors, stacked
+
+
+def _read_whole(path: str) -> bytes:
+    """A file's bytes by plain system calls; b"" if it cannot be read."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            parts = [os.read(fd, _READ_SIZE)]
+            while len(parts[-1]) == _READ_SIZE:
+                parts.append(os.read(fd, _READ_SIZE))
+        finally:
+            os.close(fd)
+    except OSError:
+        return b""
+    return b"".join(parts)

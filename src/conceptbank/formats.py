@@ -18,6 +18,12 @@ All multi-byte values are little-endian. Formats:
         concept, bias, platt [A, B] and beta (one weight per channel); one
         (concepts x dim) block per channel
 
+read_cbfv reads one CBFV file and names its fault; decode_cbfv checks
+and converts the bytes of many files, already read, in one array pass,
+and rejects without a reason any file read_cbfv would reject (or that
+has no patches, or another dim than asked), so a caller re-reads those
+alone to learn why.
+
 A table is the magic, u32 header_len, a sorted-key JSON header, then the
 f32 payload; its reader checks the header's keys and types, that its ids
 are distinct and that the payload has exactly the size the header implies.
@@ -39,6 +45,7 @@ from .errors import DataFormatError
 
 CBFV_VERSION = 1
 CBCB_VERSION = 1
+_CBFV_MAGIC = int.from_bytes(b"CBFV", "little")
 
 
 def write_cbfv(path: str | Path, positions: np.ndarray, vectors: np.ndarray) -> None:
@@ -69,6 +76,33 @@ def read_cbfv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     records = np.frombuffer(data, dtype="<f4", offset=16).astype(np.float64)
     records = records.reshape(count, 2 + dim)
     return records[:, :2], records[:, 2:]
+
+
+def decode_cbfv(blobs: list[bytes], dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The contents of many CBFV files at once, checked with one array
+    pass. Returns (ok (files,) bool, records (patches x (2 + dim))
+    float64, counts (ok files,)): a file is ok when it is a CBFV file of
+    this version with at least one patch of dimension dim and exactly the
+    length its header implies; records holds the ok files' (x, y, vector)
+    rows, file after file. read_cbfv names the fault of a file that is not."""
+    lengths = np.fromiter(map(len, blobs), dtype=np.int64, count=len(blobs))
+    raw = np.frombuffer(b"".join(blobs), dtype=np.uint8)
+    starts = np.cumsum(lengths) - lengths
+    headed = lengths >= 16
+    magic, version, count, width = (
+        raw[starts[headed, None] + np.arange(16)].view("<u4").astype(np.int64).T
+    )
+    ok = np.zeros(len(blobs), dtype=bool)
+    ok[headed] = (
+        (magic == _CBFV_MAGIC) & (version == CBFV_VERSION) & (count > 0) & (width == dim)
+        & (lengths[headed] == 16 + count * (2 + dim) * 4)
+    )
+    # every file is a 16-byte header (or less) and a payload; keep ok payloads
+    head = np.minimum(lengths, 16)
+    keep = np.repeat(np.stack([np.zeros_like(ok), ok], axis=1).ravel(),
+                     np.stack([head, lengths - head], axis=1).ravel())
+    records = raw[keep].view("<f4").astype(np.float64).reshape(-1, 2 + dim)
+    return ok, records, count[ok[headed]]
 
 
 def write_cbfh(path: str | Path, image_ids: list[str], channels: dict[str, np.ndarray]) -> None:

@@ -172,25 +172,22 @@ class ConceptBankTree:
 
     @classmethod
     def from_json(cls, text: str) -> "ConceptBankTree":
+        tree = cls.__new__(cls)
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"bad tree manifest: {exc}") from exc
-        tree = cls.__new__(cls)
-        tree.nodes = {}
-        tree.root_id = doc["root_id"]
-        tree._concept_counter = doc.get("concept_counter", 0)
-        for entry in doc["nodes"]:
-            node = OntologyNode(
-                id=entry["id"],
-                name=entry["name"],
-                layer=entry["layer"],
-                parent=entry["parent"],
-                children=list(entry["children"]),
-                visually_detectable=entry.get("visually_detectable", True),
-                article_names=list(entry.get("article_names", [])),
-            )
-            tree.nodes[node.id] = node
+            if type(doc) is not dict:
+                raise TypeError("not a JSON object")
+            tree.root_id = doc["root_id"]
+            tree._concept_counter = doc.get("concept_counter", 0)
+            if type(tree.root_id) is not str or type(tree._concept_counter) is not int:
+                raise TypeError("root_id must be a str and concept_counter an int")
+            if type(doc["nodes"]) is not list:
+                raise TypeError("nodes must be a list")
+            tree.nodes = {node.id: node for node in map(_node_from_json, doc["nodes"])}
+        except KeyError as exc:
+            raise DataFormatError(f"bad tree manifest, no key {exc}") from None
+        except (TypeError, ValueError) as exc:  # ValueError covers bad JSON
+            raise DataFormatError(f"bad tree manifest, {exc}") from None
         if tree.root_id not in tree.nodes:
             raise DataFormatError("tree manifest missing root node")
         tree.validate()
@@ -228,6 +225,26 @@ class ConceptBankTree:
         for node in self.nodes.values():
             if node.layer == "concept" and node.children:
                 raise DataFormatError(f"concept leaf {node.id} has children")
+
+
+def _node_from_json(entry: dict) -> OntologyNode:
+    node = OntologyNode(
+        id=entry["id"],
+        name=entry["name"],
+        layer=entry["layer"],
+        parent=entry["parent"],
+        children=entry["children"],
+        visually_detectable=entry.get("visually_detectable", True),
+        article_names=entry.get("article_names", []),
+    )
+    if not (
+        type(node.children) is list and type(node.article_names) is list
+        and all(type(s) is str for s in (node.id, node.name, *node.children, *node.article_names))
+        and node.layer in LAYERS and isinstance(node.parent, (str, type(None)))
+        and type(node.visually_detectable) is bool
+    ):
+        raise TypeError(f"malformed node {node.id!r}")
+    return node
 
 
 def load_hierarchy(source: str | Path | dict) -> ConceptBankTree:

@@ -12,7 +12,9 @@ bank from it, candidates.json and reports/visualness.json for the
 stages that need concepts. Independent per-concept / per-image work,
 and the represent stage's chunks of videos, are sharded over a thread
 pool; verify, train and detect instead train all their detectors in one
-lockstep call (detect.train_mklsvm_lockstep). Chunks have a fixed size,
+lockstep call (detect.train_mklsvm_lockstep). The pool pays in
+represent, where a chunk spends most of its time in a few large NumPy
+calls, which release the interpreter lock, not in per-file Python work. Chunks have a fixed size,
 a batch encodes each image bit for bit as if alone, every merge happens
 in a fixed order and every random draw uses a seed derived from the
 config, so the store's bytes do not depend on the worker count.
@@ -57,7 +59,10 @@ def _tree(store: ModelStore) -> ConceptBankTree:
     path = store.path("ontology.json")
     if not path.exists():
         raise PreconditionError("store has no ontology.json")
-    tree = ConceptBankTree.from_json(path.read_text(encoding="utf-8"))
+    try:
+        tree = ConceptBankTree.from_json(path.read_text(encoding="utf-8"))
+    except (DataFormatError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     if tree.concept_leaves():  # written by an older version; re-run ontology
         raise DataFormatError(f"{path} holds concept leaves, not the bare hierarchy")
     return tree
@@ -592,6 +597,7 @@ def _stage_eval(config: PipelineConfig, store: ModelStore, workers: int) -> dict
     if "retrieve" not in manifest and "detect" not in manifest:
         raise PreconditionError("missing upstream: retrieve or detect")
     truth = _video_labels(config, tree, config.path("video_manifest_test"))
+    test_ids = sorted(rep.video_id for rep in _load_reps(store, "test"))
     out: dict = {}
     for side, stage, report_dir, key, kind in (
         ("zero_shot", "retrieve", "retrieval", "ordering", list),
@@ -604,6 +610,11 @@ def _stage_eval(config: PipelineConfig, store: ModelStore, workers: int) -> dict
             relpath = f"reports/{report_dir}/{event.id}.json"
             (doc,) = store.checked(relpath, [store.read_json(relpath)], {key: kind})
             ordering = doc[key] if kind is list else [row[0] for row in doc[key]]
+            if sorted(ordering) != test_ids:
+                raise DataFormatError(
+                    f"{store.path(relpath)}: {key} does not list each of the "
+                    f"{len(test_ids)} test videos once"
+                )
             relevance = {vid: int(truth.get(vid) == event.id) for vid in ordering}
             per_event[event.id] = average_precision(
                 LabeledRanking(tuple(ordering), relevance)

@@ -246,3 +246,27 @@ def visualness_cv_ap(positives, negative_pool, seed, C=1.0, gamma=0.01, tol=1e-4
         raw = model.raw_score_matrix({c: feats[c][test_idx] for c in channels})
         aps.append(ap_from_arrays(raw, labels[test_idx] > 0))
     return float(np.mean(aps))
+
+
+def pyramid_loop(positions, idx, weights, size, grids, k):
+    """One image's pyramid, bin by bin: patches taken in (y, x) order (ties
+    in input order), each adding its soft weights to the one block per
+    level whose cell holds its center, with plain float additions; then
+    each block's K-bin sub-histogram divided by its sum. A non-positive
+    extent puts every patch in the first cell. idx and weights are the
+    patches' soft assignments, in input order."""
+    extent = [e if e > 0 else math.inf for e in size]
+    blocks = sum(r * c for r, c in grids)
+    hist = np.zeros((blocks, k))
+    for p in sorted(range(len(positions)), key=lambda p: (positions[p][1], positions[p][0])):
+        x, y = float(positions[p][0]), float(positions[p][1])
+        offset = 0
+        for rows, cols in grids:
+            r = min(max(math.floor(y * rows / extent[1]), 0), rows - 1)
+            c = min(max(math.floor(x * cols / extent[0]), 0), cols - 1)
+            for j, w in zip(idx[p], weights[p]):
+                hist[offset + r * cols + c, j] += float(w)
+            offset += rows * cols
+    sums = hist.sum(axis=1, keepdims=True)
+    np.divide(hist, sums, out=hist, where=sums > 0)
+    return hist.ravel()

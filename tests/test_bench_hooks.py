@@ -62,3 +62,16 @@ def test_retrieve_still_binds_compute_kernel():
     from conceptbank import detect, retrieve
 
     assert retrieve.compute_kernel is detect.compute_kernel
+
+
+def test_every_formats_reader_and_writer_takes_a_path_first():
+    # the tracer's read and write probes os.stat the first argument of
+    # every public formats.read_* and formats.write_* function
+    from conceptbank import formats
+
+    checked = 0
+    for name, fn in vars(formats).items():
+        if name.startswith(("read_", "write_")) and inspect.isfunction(fn):
+            assert next(iter(inspect.signature(fn).parameters)) == "path", name
+            checked += 1
+    assert checked

@@ -20,15 +20,17 @@ from conceptbank.encode import (
     encode_from_path,
     encode_image,
     encode_images,
+    encode_path_groups,
     encode_paths,
-    infer_image_size,
+    infer_image_sizes,
     load_descriptors,
     soft_assign,
     train_codebook,
 )
 from conceptbank.errors import DataFormatError, PreconditionError
-from conceptbank.formats import write_cbfv
+from conceptbank.formats import read_cbfv, read_ppm, write_cbfv, write_ppm
 from conceptbank.pipeline import run_stage
+from oracles import pyramid_loop
 
 
 def test_codebook_recovers_separated_clusters():
@@ -254,6 +256,30 @@ def test_batch_encoding_matches_encoding_each_image_alone(seed, counts, k, soft_
             assert np.array_equal(matrix[i], alone[ch])
 
 
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    counts=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+    k=st.integers(1, 8),
+    soft_k=st.integers(1, 10),
+)
+def test_batch_pyramids_equal_a_patch_by_patch_sum(seed, counts, k, soft_k):
+    rng = np.random.default_rng(seed)
+    books = {"t": Codebook("t", rng.normal(size=(k, 3)), 0, rng.uniform(0.1, 3))}
+    sizes = [(float(rng.integers(-1, 60)), float(rng.integers(4, 60))) for _ in counts]
+    # centers on a coarse grid, so several patches share one
+    images = [
+        {"t": DescriptorBlock("t", rng.integers(0, 6, size=(n, 2)) * 10.0, rng.normal(size=(n, 3)))}
+        for n in counts
+    ]
+    batch = encode_images(images, books, sizes, soft_k)["t"]
+    for row, blocks, size in zip(batch, images, sizes):
+        block = blocks["t"]
+        idx, w = soft_assign(block.vectors[None], books["t"], soft_k)
+        expect = pyramid_loop(block.grid_positions, idx[0], w[0], size, PYRAMID_GRIDS, k)
+        assert np.array_equal(row, expect)
+
+
 def test_batch_encoding_splits_rows_into_bounded_soft_assign_calls(monkeypatch):
     rng = np.random.default_rng(17)
     third = ASSIGN_ROWS // 3 + 1
@@ -332,6 +358,116 @@ def test_encode_paths_reports_empty_or_wrong_dim_descriptor_files(tmp_path):
     assert matrices["g"].shape == (1, PYRAMID_BLOCKS * 4)
 
 
+def loaded_alone(paths, books, soft_k=5):
+    """encode_images of each path's descriptors, loaded one file at a time."""
+    blocks = [{ch: load_descriptors(path, ch) for ch in books} for path in paths]
+    sizes = [
+        (float(b.grid_positions[:, 0].max()) + 10.0, float(b.grid_positions[:, 1].max()) + 10.0)
+        for b in (next(iter(image.values())) for image in blocks)
+    ]
+    return encode_images(blocks, books, sizes, soft_k)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decoded_descriptor_files_encode_as_files_loaded_alone(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    dims = {"b": 2, "a": 6}
+    books = {ch: Codebook(ch, rng.normal(size=(5, d)), 0, rng.uniform(0.5, 2)) for ch, d in dims.items()}
+    groups = []
+    for g in range(3):
+        groups.append([])
+        for i in range(int(rng.integers(0, 6))):
+            stem = tmp_path / f"im-{g}-{i}"
+            n = int(rng.choice([1, 4, 9, 9, 13]))
+            image = random_image(rng, n, 40, 30, dims)
+            for ch, block in shuffled(image, rng).items():  # files hold patches in any order
+                write_cbfv(f"{stem}.{ch}.cbfv", block.grid_positions, block.vectors)
+            groups[-1].append(stem if i % 2 else str(stem))
+    parts = encode_path_groups(groups, books, soft_k=3)
+    for paths, (kept, bad, matrices) in zip(groups, parts):
+        assert kept == paths and bad == []
+        alone = loaded_alone(paths, books, soft_k=3)
+        assert list(matrices) == list(books)
+        for ch in books:
+            assert matrices[ch].shape == alone[ch].shape
+            assert matrices[ch].tobytes() == alone[ch].tobytes()
+
+
+def _spoil(path, data):
+    if data is None:
+        path.unlink()
+    else:
+        path.write_bytes(data)
+
+
+@pytest.mark.parametrize("case, channel, spoil", [
+    ("missing", "a", lambda p, d: _spoil(p, None)),
+    ("empty", "a", lambda p, d: _spoil(p, b"")),
+    ("short header", "a", lambda p, d: _spoil(p, d[:10])),
+    ("truncated", "a", lambda p, d: _spoil(p, d[:-4])),
+    ("one record too many", "a", lambda p, d: _spoil(p, d + d[16:48])),
+    ("bad magic", "a", lambda p, d: _spoil(p, b"XBFV" + d[4:])),
+    ("bad version", "a", lambda p, d: _spoil(p, d[:4] + (2).to_bytes(4, "little") + d[8:])),
+    ("zero patches", "a", lambda p, d: write_cbfv(p, np.zeros((0, 2)), np.zeros((0, 6)))),
+    ("wrong dim", "a", lambda p, d: write_cbfv(p, np.full((4, 2), 15.0), np.zeros((4, 5)))),
+    ("second channel bad", "b", lambda p, d: _spoil(p, d[:-4])),
+    ("second channel wrong dim", "b", lambda p, d: write_cbfv(p, np.full((8, 2), 15.0), np.zeros((8, 6)))),
+])
+def test_a_bad_descriptor_file_is_skipped_as_a_lone_read_skips_it(tmp_path, case, channel, spoil):
+    rng = np.random.default_rng(8)
+    dims = {"a": 6, "b": 2}
+    books = {ch: Codebook(ch, rng.normal(size=(4, d)), 0, 1.0) for ch, d in dims.items()}
+    paths = [tmp_path / f"im-{i}" for i in range(5)]
+    for path in paths:
+        for ch, block in random_image(rng, 8, 40, 40, dims).items():
+            write_cbfv(f"{path}.{ch}.cbfv", block.grid_positions, block.vectors)
+    bad = tmp_path / f"im-2.{channel}.cbfv"
+    spoil(bad, bad.read_bytes())
+    try:
+        _, vectors = read_cbfv(bad)
+        n, dim = vectors.shape
+        expected = f"{bad}: {n} patches of dim {dim}, codebook dim {dims[channel]}"
+    except DataFormatError as exc:  # as load_descriptors would raise it
+        expected = str(exc)
+    groups = [paths[:1], paths[1:4], paths[4:]]
+    parts = encode_path_groups(groups, books)
+    assert [kept for kept, _, _ in parts] == [paths[:1], [paths[1], paths[3]], paths[4:]]
+    assert [[p for p, _ in skipped] for _, skipped, _ in parts] == [[], [paths[2]], []]
+    ((_, exc),) = parts[1][1]
+    assert isinstance(exc, DataFormatError) and str(exc) == expected
+    clean = [p for p in paths if p != paths[2]]
+    alone = loaded_alone(clean, books)
+    for ch in books:
+        batch = np.concatenate([matrices[ch] for _, _, matrices in parts])
+        assert batch.tobytes() == alone[ch].tobytes()
+
+
+def test_ppm_images_encode_as_their_builtin_descriptors(tmp_path):
+    rng = np.random.default_rng(9)
+    books = {
+        ch: Codebook(ch, rng.uniform(0, 1, size=(4, d)), 0, 0.3)
+        for ch, d in (("gray-patch", 400), ("color-hist", 64))
+    }
+    shapes = [(40, 50, 3), (30, 30, 3), (10, 10, 3), (35, 42)]  # the third is too small
+    paths = []
+    for i, shape in enumerate(shapes):
+        paths.append(tmp_path / f"im-{i}.ppm")
+        write_ppm(paths[-1], rng.integers(0, 256, size=shape, dtype=np.uint8))
+    # a descriptor-file image between them, under the same channels
+    stem = tmp_path / "im-cbfv"
+    for ch, block in random_image(rng, 6, 40, 40, {"gray-patch": 400, "color-hist": 64}).items():
+        write_cbfv(f"{stem}.{ch}.cbfv", block.grid_positions, block.vectors)
+    paths.insert(1, stem)
+    kept, skipped, matrices = encode_paths(paths, books)
+    assert kept == [paths[0], paths[1], paths[2], paths[4]]
+    ((path, exc),) = skipped
+    assert path == paths[3] and isinstance(exc, PreconditionError) and "smaller than patch" in str(exc)
+    # load_descriptors computes a .ppm image's float64 builtin descriptors
+    alone = loaded_alone(kept, books)
+    for ch in books:
+        assert matrices[ch].tobytes() == alone[ch].tobytes()
+
+
 def test_malformed_descriptor_files_fail_encode_and_are_skipped_by_represent(
     full_store, corpus_dir, tmp_path, capsys
 ):
@@ -371,7 +507,7 @@ def test_builtin_descriptor_grid_counts():
     img = np.zeros((30, 30, 3), dtype=np.uint8)
     block = builtin_descriptors(img, "color-hist")
     assert block.vectors.shape == (4, 64)
-    assert infer_image_size(block.grid_positions) == (30.0, 30.0)
+    assert infer_image_sizes(block.grid_positions, [4]).tolist() == [[30.0, 30.0]]
 
 
 def test_builtin_descriptor_values_on_constant_color():

@@ -8,6 +8,7 @@ import pytest
 
 from conceptbank.errors import DataFormatError
 from conceptbank.formats import (
+    decode_cbfv,
     read_cbcb,
     read_cbdt,
     read_cbfh,
@@ -58,6 +59,30 @@ def test_descriptor_file_errors(tmp_path):
         read_cbfv(path)
     with pytest.raises(DataFormatError, match="cannot read"):
         read_cbfv(tmp_path / "absent.cbfv")
+
+
+def test_many_descriptor_files_decode_at_once(tmp_path):
+    rng = np.random.default_rng(3)
+    blobs, expect = [], []
+    for n in (3, 1, 5):
+        path = tmp_path / f"{n}.cbfv"
+        write_cbfv(path, rng.uniform(0, 50, size=(n, 2)), rng.normal(size=(n, 4)))
+        blobs.append(path.read_bytes())
+        expect.append(np.hstack(read_cbfv(path)))
+    write_cbfv(tmp_path / "none.cbfv", np.empty((0, 2)), np.empty((0, 4)))
+    write_cbfv(tmp_path / "dim.cbfv", np.zeros((2, 2)), np.zeros((2, 3)))
+    spoiled = [
+        b"", b"CBF", blobs[0][:-1], blobs[0] + bytes(24), b"XBFV" + blobs[0][4:],
+        blobs[0][:4] + struct.pack("<I", 2) + blobs[0][8:],
+        (tmp_path / "none.cbfv").read_bytes(), (tmp_path / "dim.cbfv").read_bytes(),
+    ]
+    # each spoiled file between two good ones
+    ok, records, counts = decode_cbfv([blobs[0], *spoiled, blobs[1], blobs[2]], dim=4)
+    assert ok.tolist() == [True] + [False] * len(spoiled) + [True, True]
+    assert counts.tolist() == [3, 1, 5]
+    assert records.dtype == np.float64 and np.array_equal(records, np.vstack(expect))
+    ok, records, counts = decode_cbfv([], dim=4)
+    assert ok.shape == (0,) and records.shape == (0, 6) and counts.shape == (0,)
 
 
 def test_feature_set_file_round_trip(tmp_path):

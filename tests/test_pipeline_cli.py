@@ -209,6 +209,10 @@ def test_eval_rejects_malformed_ranking_reports(full_store, corpus_dir, tmp_path
         ("key null", lambda d, k: {**d, k: None}),
         ("key a string", lambda d, k: {**d, k: "abc"}),
         ("wrong-typed rows", lambda d, k: {**d, k: [[1]]}),
+        # well-typed, but not each test video once
+        ("cut list", lambda d, k: {**d, k: d[k][:3]}),
+        ("repeated id", lambda d, k: {**d, k: d[k][:1] + d[k][:-1]}),
+        ("unknown id", lambda d, k: {**d, k: [_renamed(d[k][0])] + d[k][1:]}),
     ]
     for report_dir, key in (("retrieval", "ordering"), ("detection", "ranking")):
         path = store / "reports" / report_dir / f"{event}.json"
@@ -220,6 +224,48 @@ def test_eval_rejects_malformed_ranking_reports(full_store, corpus_dir, tmp_path
             assert str(path) in err and "Traceback" not in err, (report_dir, name)
         path.write_text(original)
     assert run_cli("eval", "--store", store, "--config", config) == 0
+
+
+def _renamed(entry):
+    """A ranking entry (an id, or an [id, score] row) naming no video."""
+    return "vid-unknown" if isinstance(entry, str) else ["vid-unknown", *entry[1:]]
+
+
+def test_a_malformed_ontology_manifest_exits_3_naming_it(full_store, corpus_dir, tmp_path, capsys):
+    config = corpus_dir[0] / "config.json"
+    store = tmp_path / "store"
+    shutil.copytree(full_store.root, store)
+    path = store / "ontology.json"
+    original = path.read_text()
+    doc = json.loads(original)
+    mutations = {
+        "truncated": original[: len(original) // 2],
+        "empty": "",
+        "not UTF-8": b"\xff\xfe{",
+        "list root": [],
+        "null root": None,
+        "no nodes": {k: v for k, v in doc.items() if k != "nodes"},
+        "no root_id": {k: v for k, v in doc.items() if k != "root_id"},
+        "nodes null": {**doc, "nodes": None},
+        "nodes a string": {**doc, "nodes": "abc"},
+        "concept_counter null": {**doc, "concept_counter": None},
+        "concept_counter a string": {**doc, "concept_counter": "abc"},
+        "root_id null": {**doc, "root_id": None},
+        "root_id unknown": {**doc, "root_id": "abc"},
+        "a node not an object": {**doc, "nodes": doc["nodes"] + [1]},
+        "a node's layer unknown": {**doc, "nodes": [{**doc["nodes"][0], "layer": "x"}] + doc["nodes"][1:]},
+        "a node's children null": {**doc, "nodes": [{**doc["nodes"][0], "children": None}] + doc["nodes"][1:]},
+    }
+    for name, bad in mutations.items():
+        if isinstance(bad, bytes):
+            path.write_bytes(bad)
+        else:
+            path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+        assert run_cli("discover", "--store", store, "--config", config) == 3, name
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err, name
+    path.write_text(original)
+    assert run_cli("discover", "--store", store, "--config", config) == 0
 
 
 def test_a_selection_naming_another_concept_exits_3(full_store, corpus_dir, tmp_path, capsys):
