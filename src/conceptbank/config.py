@@ -10,7 +10,8 @@ All randomness flows from base_seed through named per-purpose seeds;
 nothing reads ambient entropy. The config hash covers every field except
 the filesystem root, so two stores built from identical inputs in
 different locations hash identically, while changing any parameter
-invalidates downstream stage artifacts.
+invalidates downstream stage artifacts. from_file checks each field's
+JSON type against its annotation.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import DataFormatError, PreconditionError
 
@@ -110,6 +112,12 @@ class PipelineConfig:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise DataFormatError(f"config {path}: unknown keys {unknown}")
+        hints = get_type_hints(cls)
+        for key, value in sorted(raw.items()):
+            kind = hints[key]
+            if not _fits(value, kind):
+                name = kind.__name__ if isinstance(kind, type) else kind
+                raise DataFormatError(f"config {path}: {key} must be {name}, got {value!r}")
         cfg = cls(**raw)
         cfg.root = path.parent
         return cfg
@@ -119,3 +127,13 @@ class PipelineConfig:
             json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n",
             encoding="utf-8",
         )
+
+
+def _fits(value, kind) -> bool:
+    """value's JSON type matches the field annotation kind: a list of the
+    item type, one member of a union, or an int where a float is due."""
+    if get_origin(kind) is list:
+        (item,) = get_args(kind)
+        return type(value) is list and all(type(v) is item for v in value)
+    kinds = get_args(kind) or (kind,)
+    return type(value) in kinds or (float in kinds and type(value) is int)

@@ -281,23 +281,6 @@ class DetectorBank:
             platt=np.concatenate([b.platt for b in banks], axis=1),
         )
 
-    def columns(self, concept_ids: Sequence[str]) -> list[int]:
-        col = {cid: k for k, cid in enumerate(self.concept_ids)}
-        missing = [c for c in concept_ids if c not in col]
-        if missing:
-            raise PreconditionError(f"no trained detector for: {missing[:5]}")
-        return [col[c] for c in concept_ids]
-
-    def take(self, concept_ids: Sequence[str]) -> "DetectorBank":
-        """The bank of just these concepts, in this order."""
-        cols = self.columns(concept_ids)
-        return DetectorBank(
-            concept_ids=list(concept_ids),
-            weights={c: np.ascontiguousarray(w[:, cols]) for c, w in self.weights.items()},
-            bias=self.bias[cols],
-            platt=self.platt[:, cols],
-        )
-
     def raw_scores(self, features: dict[str, np.ndarray]) -> np.ndarray:
         """(n, concepts) margins for n rows of features."""
         return _linear_scores(features, self.weights, self.bias)

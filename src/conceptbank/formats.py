@@ -12,7 +12,8 @@ All multi-byte values are little-endian. Formats:
         "CBCB" u32 version, u32 name_len, name bytes, u32 k, u32 dim,
         u64 train_seed, f64 soft_sigma, f32[k*dim] centers
   CBVR  one split's video representations, a table whose header lists
-        split, video_ids, concept_ids and frames_used; (videos x concepts)
+        split, video_ids, concept_ids (every concept of detectors.cbdt,
+        in its order) and frames_used; (videos x concepts)
   CBDT  the linear concept detectors folded into weights, a table whose
         header lists sorted concept_ids, [channel, dim] pairs and, per
         concept, bias, platt [A, B] and beta (one weight per channel); one
@@ -224,7 +225,7 @@ def _cbvr_size(header: dict) -> int:
         raise TypeError("split must be a str")
     if len(frames) != len(videos):
         raise ValueError(f"{len(frames)} frames_used for {len(videos)} videos")
-    return len(videos) * len(_listed(header["concept_ids"], str, "concept_ids"))
+    return len(videos) * len(_listed(header["concept_ids"], str, "concept_ids", distinct=True))
 
 
 def _listed(value, kind: type, key: str, distinct: bool = False) -> list:

@@ -13,6 +13,7 @@ concepts is single-writer.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -252,70 +253,69 @@ def load_hierarchy(source: str | Path | dict) -> ConceptBankTree:
 
     The document is JSON of the shape
     {"categories": [{"name", "subcategories": [{"name", "events":
-    [{"name", "visually_detectable", "article_names": [...]}]}]}]}.
-    Event names are treated as unique keys; duplicates are rejected.
+    [{"name", "visually_detectable", "article_names": [...]}]}]}]},
+    names non-empty strings, visually_detectable a bool and
+    article_names a non-empty list of strings. Event names are treated as
+    unique keys; duplicates are rejected. A document that breaks this
+    raises DataFormatError, prefixed with the file's path when read from
+    one.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise DataFormatError(f"cannot read hierarchy document: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"malformed hierarchy document: {exc}") from exc
-    else:
-        doc = source
+    if not isinstance(source, (str, Path)):
+        return _hierarchy(source)
+    try:
+        return _hierarchy(json.loads(Path(source).read_text(encoding="utf-8")))
+    except OSError as exc:
+        raise DataFormatError(f"cannot read hierarchy document {source}: {exc}") from exc
+    except (DataFormatError, ValueError) as exc:  # ValueError covers bad JSON and UTF-8
+        raise DataFormatError(f"{source}: {exc}") from None
+
+
+def _hierarchy(doc) -> ConceptBankTree:
     if not isinstance(doc, dict) or "categories" not in doc:
         raise DataFormatError("hierarchy document missing 'categories'")
-
     tree = ConceptBankTree()
-    cat_i = sub_i = evt_i = 0
-    seen_categories: set[str] = set()
-    seen_events: set[str] = set()
-    for cat in doc["categories"]:
+    categories: set[str] = set()
+    events: set[str] = set()
+    sub_ids = itertools.count()
+    for cat in _entries(doc, "categories", "hierarchy document"):
         cat_name = _require(cat, "name", "category")
-        if cat_name in seen_categories:
+        if cat_name in categories:
             raise DataFormatError(f"duplicate category name: {cat_name!r}")
-        seen_categories.add(cat_name)
-        cat_id = f"cat-{cat_i:03d}"
-        cat_i += 1
+        cat_id = f"cat-{len(categories):03d}"
+        categories.add(cat_name)
         tree._add(OntologyNode(id=cat_id, name=cat_name, layer="category", parent="root"))
-        seen_subs: set[str] = set()
-        for sub in cat.get("subcategories", []):
+        subs: set[str] = set()
+        for sub in _entries(cat, "subcategories", f"category {cat_name!r}"):
             sub_name = _require(sub, "name", "subcategory")
-            if sub_name in seen_subs:
-                raise DataFormatError(
-                    f"duplicate subcategory {sub_name!r} under {cat_name!r}"
-                )
-            seen_subs.add(sub_name)
-            sub_id = f"sub-{sub_i:04d}"
-            sub_i += 1
+            if sub_name in subs:
+                raise DataFormatError(f"duplicate subcategory {sub_name!r} under {cat_name!r}")
+            subs.add(sub_name)
+            sub_id = f"sub-{next(sub_ids):04d}"
             tree._add(OntologyNode(id=sub_id, name=sub_name, layer="subcategory", parent=cat_id))
-            for evt in sub.get("events", []):
+            for evt in _entries(sub, "events", f"subcategory {sub_name!r}"):
                 evt_name = _require(evt, "name", "event")
-                if evt_name in seen_events:
+                if evt_name in events:
                     raise DataFormatError(f"duplicate event name: {evt_name!r}")
-                seen_events.add(evt_name)
-                if "visually_detectable" not in evt:
-                    raise DataFormatError(
-                        f"event {evt_name!r} missing visually_detectable flag"
-                    )
-                articles = evt.get("article_names", [])
-                if not articles:
-                    raise DataFormatError(f"event {evt_name!r} has no article names")
-                evt_id = f"evt-{evt_i:04d}"
-                evt_i += 1
-                tree._add(
-                    OntologyNode(
-                        id=evt_id,
-                        name=evt_name,
-                        layer="event",
-                        parent=sub_id,
-                        visually_detectable=bool(evt["visually_detectable"]),
-                        article_names=list(articles),
-                    )
-                )
+                detectable, articles = evt.get("visually_detectable"), evt.get("article_names")
+                if type(detectable) is not bool:
+                    raise DataFormatError(f"event {evt_name!r} needs a bool visually_detectable flag")
+                if type(articles) is not list or not articles or any(type(a) is not str for a in articles):
+                    raise DataFormatError(f"event {evt_name!r} has no list of article names")
+                tree._add(OntologyNode(
+                    id=f"evt-{len(events):04d}", name=evt_name, layer="event", parent=sub_id,
+                    visually_detectable=detectable, article_names=list(articles),
+                ))
+                events.add(evt_name)
     tree.validate()
     return tree
+
+
+def _entries(entry: dict, key: str, what: str) -> list[dict]:
+    """entry[key], a list of objects; an absent key reads as no entries."""
+    value = entry.get(key, [])
+    if type(value) is not list or not all(isinstance(e, dict) for e in value):
+        raise DataFormatError(f"{what}: {key} must be a list of objects")
+    return value
 
 
 def _require(entry: dict, key: str, what: str) -> str:

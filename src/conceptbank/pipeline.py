@@ -2,7 +2,10 @@
 
 Stage order: ontology -> discover -> codebook -> encode -> select ->
 verify -> train -> match -> represent -> {retrieve | detect} -> eval ->
-recount; _STAGE_TABLE pairs each stage with its upstream stages. Each
+recount; _STAGE_TABLE pairs each stage with its upstream stages.
+represent scores every video with the whole concept bank, one column per
+concept, so it needs train but not match; retrieve and detect apply the
+query plans to those columns, so they need both match and represent. Each
 stage reads upstream artifacts from the model store, refuses to run
 when an upstream stage is missing or was built under a different config
 hash, writes only files that no other stage writes, and rewrites
@@ -487,7 +490,8 @@ def _stage_match(config: PipelineConfig, store: ModelStore, workers: int) -> dic
 
 
 def _layout(store: ModelStore, tree: ConceptBankTree) -> list[str]:
-    """Concatenated per-event plan concept ids, event-id order."""
+    """Concatenated per-event plan concept ids, event-id order: the
+    columns the event detectors train on."""
     layout = []
     for event in _sorted_events(tree):
         layout.extend(_plan(store, event.id).concept_ids)
@@ -497,10 +501,8 @@ def _layout(store: ModelStore, tree: ConceptBankTree) -> list[str]:
 
 
 def _stage_represent(config: PipelineConfig, store: ModelStore, workers: int) -> dict:
-    tree = _tree(store)
-    layout = _layout(store, tree)
     books = _codebooks(store, config)
-    bank = _detector_bank(store, books).take(list(dict.fromkeys(layout)))
+    bank = _detector_bank(store, books)
     m = config.m_frames
 
     def job(chunk: list[videorep.VideoManifestEntry]) -> list[videorep.VideoRepresentation]:
@@ -509,7 +511,7 @@ def _stage_represent(config: PipelineConfig, store: ModelStore, workers: int) ->
         samples = [videorep.sample_frames(entry.frame_paths, m) for entry in chunk]
         parts = encode.encode_path_groups(samples, books, config.soft_k)
         return [
-            videorep.represent(entry, layout, bank, lambda _frames, part=part: part, m=m)
+            videorep.represent(entry, bank, lambda _frames, part=part: part, m=m)
             for entry, part in zip(chunk, parts)
         ]
 
@@ -529,13 +531,15 @@ def _stage_represent(config: PipelineConfig, store: ModelStore, workers: int) ->
         reps = [rep for part in _pmap(job, chunks, workers) for rep in part]
         reps.sort(key=lambda rep: rep.video_id)
         ids, frames = [rep.video_id for rep in reps], [rep.frames_used for rep in reps]
-        header = {"split": split, "video_ids": ids, "concept_ids": layout, "frames_used": frames}
+        header = {
+            "split": split, "video_ids": ids, "concept_ids": bank.concept_ids, "frames_used": frames,
+        }
         scores = np.array([rep.scores for rep in reps])
         write_cbvr(store.path("representations", f"{split}.cbvr"), header, scores)
         report[split] = len(reps)
     if not any(report.values()):
         raise PreconditionError("no video manifests found to represent")
-    return {"videos": report, "layout_len": len(layout)}
+    return {"videos": report, "concepts": len(bank.concept_ids)}
 
 
 def _stage_retrieve(config: PipelineConfig, store: ModelStore, workers: int) -> dict:
@@ -574,6 +578,7 @@ def _stage_detect(config: PipelineConfig, store: ModelStore, workers: int) -> di
             for idx, event in enumerate(_sorted_events(tree))
         ],
         train_reps,
+        _layout(store, tree),
     )
     rankings = detect_events(detectors, test_reps)
     for det in detectors:
@@ -648,9 +653,9 @@ _STAGE_TABLE: dict[str, tuple[Callable[..., dict], tuple[str, ...]]] = {
     "verify": (_stage_verify, ("select",)),
     "train": (_stage_train, ("verify",)),
     "match": (_stage_match, ("train",)),
-    "represent": (_stage_represent, ("match",)),
-    "retrieve": (_stage_retrieve, ("represent",)),
-    "detect": (_stage_detect, ("represent",)),
+    "represent": (_stage_represent, ("train",)),
+    "retrieve": (_stage_retrieve, ("match", "represent")),
+    "detect": (_stage_detect, ("match", "represent")),
     "eval": (_stage_eval, ("represent",)),
     "recount": (_stage_recount, ("eval",)),
 }

@@ -8,8 +8,11 @@ result unchanged. The zero-shot path takes nothing but the query's
 concept plan and unlabeled test representations, so it cannot touch
 training labels by construction.
 
-Supervised: a one-vs-all SVM with chi-square kernel over concatenated
-plan representations, hyperparameters picked by seeded 2-fold
+Representations hold one column per bank concept; _stack_reps is the
+one place that maps concept ids to those columns.
+
+Supervised: a one-vs-all SVM with chi-square kernel over the columns of
+the concatenated query plans, hyperparameters picked by seeded 2-fold
 cross-validation on AP, probabilities calibrated on the held-out fold
 scores. Every event trains on the same videos, so train_event_detectors
 computes their chi-square distances once per call; the bandwidth, every
@@ -131,28 +134,17 @@ def zero_shot_retrieve(
             f"query unmatched: no concept relates to {plan.query!r}"
         )
 
-    layout = reps[0].concept_ids
-    index = {cid: k for k, cid in enumerate(layout)}
-    lists = []
-    for cid, _score in selected:
-        col = index.get(cid)
-        if col is None:
-            raise PreconditionError(f"representations lack concept {cid}")
-        per_video = {}
-        for rep in reps:
-            if rep.concept_ids != layout:
-                raise PreconditionError(
-                    f"representation layout mismatch at {rep.video_id}"
-                )
-            per_video[rep.video_id] = float(rep.scores[col])
-        lists.append(rank_list_from_scores(cid, per_video))
-    return fuse(lists)
+    x = _stack_reps(reps, [cid for cid, _ in selected])
+    return fuse([
+        rank_list_from_scores(cid, {rep.video_id: float(s) for rep, s in zip(reps, column)})
+        for (cid, _), column in zip(selected, x.T)
+    ])
 
 
 @dataclass
 class EventDetector:
     event_id: str
-    concept_ids: list[str]  # representation layout
+    concept_ids: list[str]  # the representation columns it was trained on
     model: DetectorModel  # single channel "rep", chi2 kernel
     C: float
     bandwidth: float
@@ -171,16 +163,22 @@ class EventDetector:
 
 
 def _stack_reps(
-    reps: Sequence[VideoRepresentation], layout: list[str]
+    reps: Sequence[VideoRepresentation], concept_ids: Sequence[str]
 ) -> np.ndarray:
-    rows = []
+    """The (videos x len(concept_ids)) scores of reps, column k holding
+    concept_ids[k]'s; every rep must list the same concepts."""
+    header = reps[0].concept_ids
     for rep in reps:
-        if rep.concept_ids != layout:
-            raise PreconditionError(
-                f"representation layout mismatch at {rep.video_id}"
-            )
-        rows.append(rep.scores)
-    return np.stack(rows)
+        if rep.concept_ids != header:
+            raise PreconditionError(f"representation layout mismatch at {rep.video_id}")
+    col = {cid: k for k, cid in enumerate(header)}
+    try:
+        index = [col[cid] for cid in concept_ids]
+    except KeyError as exc:
+        raise PreconditionError(f"representations lack concept {exc.args[0]}") from None
+    # np.take returns C order, unlike [:, index]; chi2_distances' sums, and
+    # with them the event detectors, change in their last bits in F order
+    return np.take(np.stack([rep.scores for rep in reps]), index, axis=1)
 
 
 def _stratified_folds(
@@ -247,6 +245,7 @@ def train_event_detector(
     event_id: str,
     reps: Sequence[VideoRepresentation],
     positive_video_ids: set[str],
+    concept_ids: Sequence[str],
     seed: int = 0,
     C_grid: Sequence[float] = CV_C_GRID,
     bandwidth_scales: Sequence[float] = CV_BANDWIDTH_SCALES,
@@ -256,7 +255,8 @@ def train_event_detector(
     """One-vs-all chi-square SVM over video representations: the
     one-event case of train_event_detectors."""
     (det,) = train_event_detectors(
-        [(event_id, positive_video_ids, seed)], reps, C_grid, bandwidth_scales, gamma, tol
+        [(event_id, positive_video_ids, seed)], reps, concept_ids, C_grid, bandwidth_scales,
+        gamma, tol,
     )
     return det
 
@@ -264,13 +264,15 @@ def train_event_detector(
 def train_event_detectors(
     events: Sequence[tuple[str, set[str], int]],
     reps: Sequence[VideoRepresentation],
+    concept_ids: Sequence[str],
     C_grid: Sequence[float] = CV_C_GRID,
     bandwidth_scales: Sequence[float] = CV_BANDWIDTH_SCALES,
     gamma: float = 0.0,
     tol: float = 1e-4,
 ) -> list[EventDetector]:
     """One detector per (event id, positive video ids, seed) of events,
-    all trained on the same videos reps.
+    all trained on the same videos reps, on their columns of concept_ids
+    (which may name a concept more than once).
 
     Per event, (C, bandwidth scale) are picked by 2-fold CV maximizing AP
     (ties go to the earlier grid entry); the final model is refit on all
@@ -280,8 +282,7 @@ def train_event_detectors(
     """
     if not reps:
         raise PreconditionError("no training representations")
-    layout = reps[0].concept_ids
-    x = _stack_reps(reps, layout)
+    x = _stack_reps(reps, concept_ids)
     ids = [rep.video_id for rep in reps]
     labels = []
     for event_id, positives, _ in events:
@@ -315,7 +316,7 @@ def train_event_detectors(
             cv_scores = model.raw_score_matrix({"rep": x})
         model.platt = fit_platt(cv_scores, y)
         detectors.append(EventDetector(
-            event_id=event_id, concept_ids=list(layout), model=model, C=c,
+            event_id=event_id, concept_ids=list(concept_ids), model=model, C=c,
             bandwidth=base_bw * scale, bandwidth_scale=scale, cv_ap=float(cv_ap),
         ))
     return detectors

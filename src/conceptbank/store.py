@@ -11,7 +11,8 @@ Layout under the root:
     detectors.cbdt         every concept detector, folded into weights
     event_detectors/       supervised event models (JSON header + f32 .bin)
     plans/                 per-event query plans (JSON)
-    representations/       one CBVR file per split
+    representations/       one CBVR file per split, one column per concept
+                           of detectors.cbdt (plans are applied at query time)
     reports/               visualness, retrieval, detection, eval, recount
 
 Each file has one writing stage. The concept bank is not a file: it is

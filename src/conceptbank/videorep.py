@@ -3,9 +3,11 @@
 A video arrives as pre-extracted frames. m frames are sampled at even
 temporal spacing, each is encoded and scored by the selected concept
 detectors (one product per channel scores every concept), and the
-per-concept calibrated scores are average-pooled over frames. The pooled vector, aligned with the concept ids of the plan that
-produced it, is the video's representation for retrieval and event
-detection. Recounting is simply the top-k concepts of that vector.
+per-concept calibrated scores are average-pooled over frames. The pooled
+vector, one score per concept of the bank in the bank's order, is the
+video's representation; retrieval and event detection pick the columns
+of the concepts their plans name. Recounting is simply the top-k
+concepts of that vector.
 """
 
 from __future__ import annotations
@@ -68,12 +70,12 @@ def sample_frames(frames: Sequence, m: int = 20) -> list:
 
 def represent(
     entry: VideoManifestEntry,
-    concept_ids: Sequence[str],
     bank: DetectorBank,
     encoder: Callable[[list[str]], tuple[list, list, dict[str, np.ndarray]]],
     m: int = 20,
 ) -> VideoRepresentation:
-    """Average-pooled calibrated concept scores over m sampled frames.
+    """Average-pooled calibrated scores of every concept of bank, in its
+    order, over m sampled frames.
 
     encoder gets the sampled frames and returns, like encode.encode_paths,
     the frames it kept, (frame, error) pairs for those it skipped and one
@@ -82,19 +84,15 @@ def represent(
     a chunk of videos. Skipped frames are warned about; the video errors
     out only when no frame survives.
     """
-    columns = bank.columns(concept_ids)
     kept, skipped, stacked = encoder(sample_frames(entry.frame_paths, m))
     for path, exc in skipped:
         warnings.warn(f"video {entry.video_id}: skipping frame {path}: {exc}", stacklevel=2)
     if not kept:
         raise DataFormatError(f"video {entry.video_id}: no usable frames")
-
-    # one column per bank concept; a layout may repeat a concept (one slot per plan)
-    pooled = bank.calibrated(bank.raw_scores(stacked)).mean(axis=0)
     return VideoRepresentation(
         video_id=entry.video_id,
-        concept_ids=list(concept_ids),
-        scores=pooled[columns],
+        concept_ids=list(bank.concept_ids),
+        scores=bank.calibrated(bank.raw_scores(stacked)).mean(axis=0),
         frames_used=len(kept),
     )
 
@@ -102,19 +100,10 @@ def represent(
 def recount(
     rep: VideoRepresentation, names: Mapping[str, str], k: int = 5
 ) -> list[tuple[str, float]]:
-    """Top-k (concept name, score), score desc, ties by name.
-
-    A layout may repeat a concept id (one slot per query plan that uses
-    it); each concept still contributes a single entry.
-    """
+    """Top-k (concept name, score), score desc, ties by name."""
     if rep.scores.size == 0:
         raise PreconditionError("empty representation")
-    best: dict[str, float] = {}
-    for cid, s in zip(rep.concept_ids, rep.scores):
-        s = float(s)
-        if cid not in best or s > best[cid]:
-            best[cid] = s
-    pairs = [(names.get(cid, cid), s) for cid, s in best.items()]
+    pairs = [(names.get(cid, cid), float(s)) for cid, s in zip(rep.concept_ids, rep.scores)]
     pairs.sort(key=lambda p: (-p[1], p[0]))
     return pairs[: max(0, k)]
 

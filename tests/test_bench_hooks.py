@@ -13,17 +13,23 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
 
 
-def _traced_methods(monkeypatch) -> tuple:
+def _tracer(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
     spec.loader.exec_module(module)
-    return module.METHODS
+    return module
+
+
+def _traced_methods(monkeypatch) -> tuple:
+    return _tracer(monkeypatch).METHODS
 
 
 def test_every_traced_method_exists_on_its_class(monkeypatch):
@@ -75,3 +81,29 @@ def test_every_formats_reader_and_writer_takes_a_path_first():
             assert next(iter(inspect.signature(fn).parameters)) == "path", name
             checked += 1
     assert checked
+
+
+def test_the_represent_and_fuse_probes_read_real_results(monkeypatch):
+    # a probe reads a call's arguments and result; one that no longer fits
+    # them fails only inside a traced benchmark run, so run each on a real call
+    from conceptbank import detect, retrieve, videorep
+
+    probes = _tracer(monkeypatch).PROBES
+    bank = detect.DetectorBank(
+        concept_ids=["c1", "c2"], weights={"f": np.eye(2)}, bias=np.zeros(2),
+        platt=np.array([[-1.0, -1.0], [0.0, 0.0]]),
+    )
+    args = (
+        videorep.VideoManifestEntry("vid", ["f0", "f1", "f2"]),
+        bank,
+        lambda frames: (frames, [], {"f": np.ones((len(frames), 2))}),
+    )
+    rep = videorep.represent(*args, m=2)
+    assert probes["videorep.represent"](args, {"m": 2}, rep) == {"videorep.frames_scored": 2}
+
+    lists = [
+        retrieve.rank_list_from_scores(cid, {"a": s, "b": 1.0 - s, "c": 0.5})
+        for cid, s in (("c1", 0.9), ("c2", 0.1))
+    ]
+    fused = retrieve.fuse(lists)
+    assert probes["retrieve.fuse"]((lists,), {}, fused) == {"retrieve.fuse.entries": 2 * 3}

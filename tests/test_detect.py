@@ -508,11 +508,6 @@ def test_folded_weights_score_like_the_kernel_expansion():
     assert np.allclose(raw[:, 0], expansion, rtol=0, atol=1e-5)
     assert np.allclose(raw[:, 0] - model.bias, raw[:, 1] + 1.0, rtol=0, atol=1e-12)
     assert np.array_equal(bank.calibrated(raw)[:, 1], other.calibrated(raw[:, 1]))
-    alone = bank.take(["con-v"])
-    assert alone.concept_ids == ["con-v"] and alone.platt.tolist() == [[-2.0], [0.5]]
-    assert np.array_equal(alone.raw_scores(new)[:, 0], DetectorBank.fold(other).raw_scores(new)[:, 0])
-    with pytest.raises(PreconditionError, match="no trained detector"):
-        bank.columns(["con-v", "con-u"])
     chi2 = dataclasses.replace(model, kernels={"a": KernelSpec("chi2", 1.0), "b": kernels["b"]})
     with pytest.raises(PreconditionError, match="only linear"):
         chi2.weights()

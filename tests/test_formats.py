@@ -174,7 +174,7 @@ def test_video_representation_round_trip(tmp_path):
     header = {
         "split": "test",
         "video_ids": ["vid-1", "vid-7", "vid-9"],
-        "concept_ids": ["c2", "c1", "c2"],  # a layout may repeat a concept
+        "concept_ids": ["c2", "c1", "c3"],
         "frames_used": [3, 4, 1],
     }
     scores = np.arange(9, dtype=np.float32).reshape(3, 3).astype(np.float64) / 8
@@ -202,6 +202,7 @@ def test_video_representation_header_errors(tmp_path):
         (lambda h: h.update(video_ids=["v1", None]), "video_ids must be a list of str"),
         (lambda h: h.update(video_ids=["v1", "v1"]), "repeated id in video_ids"),
         (lambda h: h.update(concept_ids="c1"), "concept_ids must be a list of str"),
+        (lambda h: h.update(concept_ids=["c1", "c1"]), "repeated id in concept_ids"),
         (lambda h: h.update(frames_used=2), "frames_used must be a list of int"),
         (lambda h: h.update(frames_used=[2, 2.0]), "frames_used must be a list of int"),
         (lambda h: h.update(frames_used=[2]), "1 frames_used for 2 videos"),

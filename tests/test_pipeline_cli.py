@@ -5,11 +5,12 @@ import json
 import shutil
 from fnmatch import fnmatchcase
 
+import numpy as np
 import pytest
 
 from conceptbank.cli import main
 from conceptbank.errors import PreconditionError
-from conceptbank.formats import read_cbdt, read_cbfh, write_cbdt, write_cbfh
+from conceptbank.formats import read_cbdt, read_cbfh, read_cbvr, write_cbdt, write_cbfh, write_cbvr
 from conceptbank.pipeline import STAGES, run_all, run_stage
 
 
@@ -29,6 +30,28 @@ def test_eval_needs_a_ranking_stage(corpus_config, tmp_path):
     run_all(corpus_config, store_root, stages=STAGES[: STAGES.index("represent") + 1])
     with pytest.raises(PreconditionError, match="retrieve or detect"):
         run_stage("eval", corpus_config, store_root)
+
+
+def test_represent_needs_no_plans_and_the_plan_stages_need_match(
+    full_store, corpus_dir, tmp_path, capsys
+):
+    config = corpus_dir[0] / "config.json"
+    store = tmp_path / "store"
+    shutil.copytree(full_store.root, store)
+    tables = {p.name: p.read_bytes() for p in (store / "representations").iterdir()}
+    for path in (store / "representations").iterdir():
+        path.unlink()
+    shutil.rmtree(store / "plans")
+    (store / "ontology.json").unlink()
+    manifest = json.loads((store / "manifest.json").read_text())
+    del manifest["stages"]["match"]
+    (store / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("represent", "--store", store, "--config", config) == 0
+    assert {p.name: p.read_bytes() for p in (store / "representations").iterdir()} == tables
+    capsys.readouterr()
+    for stage in ("retrieve", "detect"):
+        assert run_cli(stage, "--store", store, "--config", config) == 2, stage
+        assert "missing upstream: match" in capsys.readouterr().err, stage
 
 
 def test_store_refuses_a_different_config(corpus_config, tmp_path):
@@ -174,6 +197,12 @@ def _drop_a_weight_column(path) -> None:
     write_cbdt(path, header, {ch: w[:, :-1] for ch, w in weights.items()})
 
 
+def _repeat_every_concept(path) -> None:
+    """Every concept twice, as in the one-column-per-plan-slot tables of older stores."""
+    header, scores = read_cbvr(path)
+    write_cbvr(path, dict(header, concept_ids=header["concept_ids"] * 2), np.hstack([scores, scores]))
+
+
 def test_store_loaders_reject_malformed_files(full_store, corpus_dir, tmp_path, capsys):
     config = corpus_dir[0] / "config.json"
     verdicts = full_store.read_json("reports/visualness.json")
@@ -188,6 +217,8 @@ def test_store_loaders_reject_malformed_files(full_store, corpus_dir, tmp_path, 
         ("represent", "detectors.cbdt", lambda p: p.write_bytes(p.read_bytes()[:-4])),
         ("represent", "detectors.cbdt", lambda p: p.write_bytes(p.read_bytes().replace(b'"bias"', b'"bia"', 1))),
         ("represent", "detectors.cbdt", _drop_a_weight_column),  # dims differ from the codebooks'
+        ("detect", "representations/train.cbvr", _repeat_every_concept),
+        ("retrieve", "representations/test.cbvr", _repeat_every_concept),
     ]
     for i, (stage, relpath, corrupt) in enumerate(cases):
         store = tmp_path / f"store-{i}"
@@ -266,6 +297,63 @@ def test_a_malformed_ontology_manifest_exits_3_naming_it(full_store, corpus_dir,
         assert str(path) in err and "Traceback" not in err, name
     path.write_text(original)
     assert run_cli("discover", "--store", store, "--config", config) == 0
+
+
+def _ontology_inputs(corpus_dir, tmp_path):
+    """A corpus holding only what the ontology stage reads."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("config.json", "hierarchy.json"):
+        shutil.copy(corpus_dir[0] / name, corpus)
+    return corpus / "config.json", corpus / "hierarchy.json"
+
+
+def test_a_malformed_hierarchy_exits_3_naming_it(corpus_dir, tmp_path, capsys):
+    config, path = _ontology_inputs(corpus_dir, tmp_path)
+    original = path.read_text()
+
+    def edit(change):
+        doc = json.loads(original)
+        change(doc["categories"][0], doc["categories"][0]["subcategories"][0])
+        return doc
+
+    mutations = {
+        "truncated": original[: len(original) // 2],
+        "empty": "",
+        "list root": [],
+        "null root": None,
+        "no categories": {},
+        "categories null": {"categories": None},
+        "a category not an object": {"categories": [1]},
+        "a category name null": edit(lambda cat, sub: cat.update(name=None)),
+        "subcategories null": edit(lambda cat, sub: cat.update(subcategories=None)),
+        "events a string": edit(lambda cat, sub: sub.update(events="abc")),
+        "an event not an object": edit(lambda cat, sub: sub["events"].append(1)),
+        "article_names a string": edit(lambda cat, sub: sub["events"][0].update(article_names="abc")),
+        "visually_detectable null": edit(lambda cat, sub: sub["events"][0].update(visually_detectable=None)),
+    }
+    for name, bad in mutations.items():
+        path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+        assert run_cli("ontology", "--store", tmp_path / "store", "--config", config) == 3, name
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err, name
+    path.write_text(original)
+    assert run_cli("ontology", "--store", tmp_path / "store", "--config", config) == 0
+
+
+def test_a_config_field_of_the_wrong_type_exits_3_naming_it(corpus_dir, tmp_path, capsys):
+    path, _ = _ontology_inputs(corpus_dir, tmp_path)
+    original = json.loads(path.read_text())
+    for key, value in (
+        ("s", "x"), ("s", True), ("channels", "abc"), ("channels", ["gray-patch", 2]),
+        ("codebook_k", "64"), ("base_seed", 1.5), ("gamma", "0.1"), ("embeddings", 3),
+    ):
+        path.write_text(json.dumps({**original, key: value}))
+        assert run_cli("ontology", "--store", tmp_path / "store", "--config", path) == 3, key
+        err = capsys.readouterr().err
+        assert f"{path}: {key} must be" in err, key
+    path.write_text(json.dumps({**original, "gamma": 1, "embeddings": None}))  # an int for a float
+    assert run_cli("ontology", "--store", tmp_path / "store", "--config", path) == 0
 
 
 def test_a_selection_naming_another_concept_exits_3(full_store, corpus_dir, tmp_path, capsys):

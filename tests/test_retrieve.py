@@ -18,6 +18,7 @@ from conceptbank.detect import (
     train_mklsvm,
 )
 from conceptbank.errors import DataFormatError, PreconditionError
+from conceptbank.formats import read_cbvr
 from conceptbank.pipeline import run_stage
 from conceptbank.retrieve import (
     CV_BANDWIDTH_SCALES,
@@ -217,25 +218,27 @@ def test_retrieve_stage_rejects_a_plan_without_n(
     assert str(path) in capsys.readouterr().err
 
 
+LAYOUT = ["con-a", "con-b", "con-c"]
+
+
 def event_reps(seed=0, n_per=12):
     """Two separable groups of 3-concept representations."""
     rng = np.random.default_rng(seed)
-    layout = ["con-a", "con-b", "con-c"]
     reps, positives = [], set()
     for i in range(n_per):
         reps.append(
-            rep(f"pos-{i:02d}", layout, np.clip([0.8, 0.7, 0.1] + 0.05 * rng.normal(size=3), 0, 1))
+            rep(f"pos-{i:02d}", LAYOUT, np.clip([0.8, 0.7, 0.1] + 0.05 * rng.normal(size=3), 0, 1))
         )
         positives.add(f"pos-{i:02d}")
         reps.append(
-            rep(f"neg-{i:02d}", layout, np.clip([0.1, 0.2, 0.8] + 0.05 * rng.normal(size=3), 0, 1))
+            rep(f"neg-{i:02d}", LAYOUT, np.clip([0.1, 0.2, 0.8] + 0.05 * rng.normal(size=3), 0, 1))
         )
     return reps, positives
 
 
 def test_event_detector_learns_a_separable_split():
     reps, positives = event_reps()
-    det = train_event_detector("evt-0000", reps, positives, seed=0)
+    det = train_event_detector("evt-0000", reps, positives, LAYOUT, seed=0)
     assert det.cv_ap > 0.9
     assert det.bandwidth > 0
     conf = det.confidences(reps)
@@ -249,20 +252,39 @@ def test_event_detector_learns_a_separable_split():
 
 def test_event_detector_is_seeded_and_guards_one_class():
     reps, positives = event_reps()
-    a = train_event_detector("evt-0000", reps, positives, seed=5)
-    b = train_event_detector("evt-0000", reps, positives, seed=5)
+    a = train_event_detector("evt-0000", reps, positives, LAYOUT, seed=5)
+    b = train_event_detector("evt-0000", reps, positives, LAYOUT, seed=5)
     assert a.C == b.C and a.bandwidth == b.bandwidth and a.cv_ap == b.cv_ap
     with pytest.raises(PreconditionError, match="one-class"):
-        train_event_detector("evt-0000", reps, set())
+        train_event_detector("evt-0000", reps, set(), LAYOUT)
     with pytest.raises(PreconditionError, match="no training representations"):
-        train_event_detector("evt-0000", [], positives)
+        train_event_detector("evt-0000", [], positives, LAYOUT)
     with pytest.raises(PreconditionError, match="no test representations"):
         detect_events([a], [])
 
 
+def test_event_detectors_train_on_the_columns_their_layout_names():
+    # a layout may name a concept twice (one slot per plan that uses it)
+    # and leave one out; the detector equals one trained on reps whose
+    # columns are exactly that layout
+    reps, positives = event_reps()
+    layout = ["con-c", "con-a", "con-c"]
+    gathered = [rep(r.video_id, layout, r.scores[[2, 0, 2]]) for r in reps]
+    got = train_event_detector("evt-0000", reps, positives, layout, seed=1)
+    want = train_event_detector("evt-0000", gathered, positives, layout, seed=1)
+    assert got.concept_ids == layout
+    assert np.array_equal(got.model.alpha, want.model.alpha) and got.model.bias == want.model.bias
+    assert np.array_equal(got.model.support_features["rep"], want.model.support_features["rep"])
+    assert got.confidences(reps) == want.confidences(gathered)
+    with pytest.raises(PreconditionError, match="representations lack concept con-z"):
+        train_event_detector("evt-0000", reps, positives, ["con-a", "con-z"])
+    with pytest.raises(PreconditionError, match="representations lack concept con-a"):
+        got.confidences([rep(r.video_id, ["con-b", "con-c"], r.scores[[1, 2]]) for r in reps])
+
+
 def test_tiny_event_training_skips_cross_validation():
     reps, _ = event_reps(n_per=1)
-    det = train_event_detector("evt-0000", reps, {"pos-00"}, seed=0)
+    det = train_event_detector("evt-0000", reps, {"pos-00"}, LAYOUT, seed=0)
     assert det.cv_ap == 0.0  # one positive: CV is impossible, defaults used
     assert det.C == 1.0 and det.bandwidth_scale == 1.0
 
@@ -322,10 +344,10 @@ def three_events(seed=0):
 
 def test_a_batch_of_events_equals_one_detector_per_event():
     reps, events = three_events()
-    batch = train_event_detectors(events, reps)
+    batch = train_event_detectors(events, reps, reps[0].concept_ids)
     assert [det.event_id for det in batch] == [event_id for event_id, _, _ in events]
     for (event_id, positives, seed), det in zip(events, batch):
-        alone = train_event_detector(event_id, reps, positives, seed=seed)
+        alone = train_event_detector(event_id, reps, positives, reps[0].concept_ids, seed=seed)
         got, want = det.model, alone.model
         assert np.array_equal(got.alpha, want.alpha) and got.bias == want.bias
         assert got.support_ids == want.support_ids and got.platt == want.platt
@@ -341,7 +363,7 @@ def test_each_event_refit_equals_the_one_dual_reference():
     x = np.stack([r.scores for r in reps])
     ids = [r.video_id for r in reps]
     base_bw = mean_chi2_bandwidth(chi2_distances(x, x))
-    for (event_id, positives, _), det in zip(events, train_event_detectors(events, reps)):
+    for (event_id, positives, _), det in zip(events, train_event_detectors(events, reps, reps[0].concept_ids)):
         assert det.bandwidth == base_bw * det.bandwidth_scale
         spec = KernelSpec("chi2", bandwidth=det.bandwidth)
         problem = DetectorTrainingProblem(
@@ -361,7 +383,7 @@ def test_a_one_class_event_in_a_batch_is_named():
     everyone = {r.video_id for r in reps}
     for bad in (("evt-none", set(), 1), ("evt-all", everyone, 1)):
         with pytest.raises(PreconditionError, match=f"event {bad[0]}: one-class"):
-            train_event_detectors([events[0], bad, events[1]], reps)
+            train_event_detectors([events[0], bad, events[1]], reps, reps[0].concept_ids)
 
 
 def test_detect_stage_computes_the_training_distances_once(
@@ -369,14 +391,20 @@ def test_detect_stage_computes_the_training_distances_once(
 ):
     store = ModelStore(tmp_path / "store")
     shutil.copytree(full_store.root, store.root)
-    train = np.stack([r.scores for r in pipeline._load_reps(store, "train")])
-    original, calls = detect.chi2_distances, []
+    # the event SVMs train on the concatenated plans' columns of train.cbvr
+    header, scores = read_cbvr(store.path("representations", "train.cbvr"))
+    layout = pipeline._layout(store, pipeline._tree(store))
+    assert len(layout) > len(set(layout))  # every plan holds every concept
+    train = scores[:, [header["concept_ids"].index(cid) for cid in layout]]
+    original, calls, c_order = detect.chi2_distances, [], []
 
     def counted(x, z, *args, **kwargs):
         calls.append(np.array_equal(x, train) and np.array_equal(z, train))
+        c_order.append(x.flags.c_contiguous and z.flags.c_contiguous)
         return original(x, z, *args, **kwargs)
 
     monkeypatch.setattr(detect, "chi2_distances", counted)
     monkeypatch.setattr(retrieve, "chi2_distances", counted)
     run_stage("detect", corpus_config, store.root)
     assert calls.count(True) == 1 and len(calls) > 1  # the rest score test videos
+    assert all(c_order)  # the distances' last bits depend on the memory order

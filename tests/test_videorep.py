@@ -101,7 +101,7 @@ def test_represent_pools_calibrated_scores_over_frames():
     table = {"f0": [2.0, 0.0], "f1": [0.0, 2.0]}
     entry = VideoManifestEntry("vid-0", ["f0", "f1"])
     bank = bank_of(*det.values())
-    rep = represent(entry, ["con-a", "con-b"], bank, frame_encoder(table), m=4)
+    rep = represent(entry, bank, frame_encoder(table), m=4)
     assert rep.concept_ids == ["con-a", "con-b"]
     assert rep.frames_used == 2
     assert np.all(rep.scores > 0) and np.all(rep.scores < 1)
@@ -119,34 +119,17 @@ def test_represent_pools_calibrated_scores_over_frames():
     assert np.allclose(rep.scores, exact, atol=1e-6)
 
 
-def test_represent_repeated_layout_slots_match_per_slot_scoring():
-    det = {
-        "con-a": trained_detector(np.array([1.0, 0.0]), "con-a"),
-        "con-b": trained_detector(np.array([0.6, 0.8]), "con-b"),
-    }
-    table = {"f0": [2.0, 0.0], "f1": [0.3, 1.7], "f2": [-1.0, 0.5]}
-    entry = VideoManifestEntry("vid-r", list(table))
-    layout = ["con-b", "con-a", "con-b", "con-b", "con-a"]
-    bank = bank_of(det["con-b"], det["con-a"])
-    rep = represent(entry, layout, bank, frame_encoder(table), m=3)
-    once = represent(entry, ["con-b", "con-a"], bank, frame_encoder(table), m=3)
-    per_slot = np.array([stored_scores(det[c], list(table.values())).mean() for c in layout])
-    assert rep.concept_ids == layout
-    assert np.array_equal(rep.scores, once.scores[[0, 1, 0, 0, 1]])
-    assert np.allclose(rep.scores, per_slot, atol=1e-12)
-
-
 def test_represent_skips_bad_frames_but_needs_one():
     det = bank_of(trained_detector(np.array([1.0, 0.0]), "con-a"))
     table = {"good": [1.0, 0.0]}
     entry = VideoManifestEntry("vid-1", ["bad", "good"])
     with pytest.warns(UserWarning, match="skipping frame"):
-        rep = represent(entry, ["con-a"], det, frame_encoder(table), m=4)
+        rep = represent(entry, det, frame_encoder(table), m=4)
     assert rep.frames_used == 1
     entry = VideoManifestEntry("vid-2", ["bad"])
     with pytest.warns(UserWarning):
         with pytest.raises(DataFormatError, match="no usable frames"):
-            represent(entry, ["con-a"], det, frame_encoder(table), m=4)
+            represent(entry, det, frame_encoder(table), m=4)
 
 
 def test_represent_skips_a_bad_middle_frame(tmp_path):
@@ -170,9 +153,9 @@ def test_represent_skips_a_bad_middle_frame(tmp_path):
         return encode_paths(paths, books)
 
     with pytest.warns(UserWarning, match="vid-m: skipping frame .*frame-1"):
-        rep = represent(VideoManifestEntry("vid-m", frames), ["con-a"], det, encoder, m=3)
+        rep = represent(VideoManifestEntry("vid-m", frames), det, encoder, m=3)
     good = VideoManifestEntry("vid-m", [frames[0], frames[2]])
-    alone = represent(good, ["con-a"], det, encoder, m=3)
+    alone = represent(good, det, encoder, m=3)
     assert rep.frames_used == alone.frames_used == 2
     assert np.array_equal(rep.scores, alone.scores)
 
@@ -240,13 +223,6 @@ def test_a_bad_frame_inside_a_chunk_shifts_no_other_video(
     assert f"video {ids[middle]}: no usable frames" in capsys.readouterr().err
 
 
-def test_represent_requires_detectors_for_the_plan():
-    entry = VideoManifestEntry("vid-3", ["f0"])
-    bank = DetectorBank.fold(trained_detector(np.array([1.0, 0.0]), "con-a"))
-    with pytest.raises(PreconditionError, match=r"no trained detector for: \['con-z'\]"):
-        represent(entry, ["con-a", "con-z"], bank, frame_encoder({}), m=1)
-
-
 def rep_of(ids, scores):
     return VideoRepresentation("vid", list(ids), np.asarray(scores, float), 1)
 
@@ -269,14 +245,6 @@ def test_recount_ties_break_alphabetically():
     assert recount(rep, {"c1": "zeta", "c2": "alpha"}, k=2) == [
         ("alpha", 0.4),
         ("zeta", 0.4),
-    ]
-
-
-def test_recount_merges_repeated_concept_ids():
-    rep = rep_of(["c1", "c2", "c1"], [0.3, 0.5, 0.7])
-    assert recount(rep, {"c1": "brush", "c2": "towel"}, k=5) == [
-        ("brush", 0.7),
-        ("towel", 0.5),
     ]
 
 
