@@ -163,11 +163,7 @@ def load_manifest(
     unknown or discovery-excluded events, or missing files, are rejected.
     """
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read image manifest: {exc}") from exc
-
+    lines = _text_lines(path, "image manifest")
     root = path.parent
     records: list[ImageRecord] = []
     seen_ids: set[str] = set()
@@ -231,22 +227,17 @@ def load_lexicon(directory: str | Path) -> Lexicon:
     """Load the four lexicon files: stopwords.txt, meaningless.txt,
     lemma.tsv (token<TAB>lemma) and vocabulary.txt, one token per line."""
     directory = Path(directory)
-    try:
-        stopwords = _read_token_file(directory / "stopwords.txt")
-        meaningless = _read_token_file(directory / "meaningless.txt")
-        vocabulary = _read_token_file(directory / "vocabulary.txt")
-        lemma_map: dict[str, str] = {}
-        for lineno, line in enumerate(
-            (directory / "lemma.tsv").read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataFormatError(f"lemma.tsv:{lineno}: expected token<TAB>lemma")
-            lemma_map[parts[0]] = parts[1]
-    except OSError as exc:
-        raise DataFormatError(f"cannot read lexicon: {exc}") from exc
+    stopwords = _read_token_file(directory / "stopwords.txt")
+    meaningless = _read_token_file(directory / "meaningless.txt")
+    vocabulary = _read_token_file(directory / "vocabulary.txt")
+    lemma_map: dict[str, str] = {}
+    for lineno, line in enumerate(_text_lines(directory / "lemma.tsv", "lexicon file"), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataFormatError(f"lemma.tsv:{lineno}: expected token<TAB>lemma")
+        lemma_map[parts[0]] = parts[1]
     return Lexicon(
         stopwords=stopwords,
         meaningless_words=meaningless,
@@ -256,8 +247,13 @@ def load_lexicon(directory: str | Path) -> Lexicon:
 
 
 def _read_token_file(path: Path) -> frozenset[str]:
-    return frozenset(
-        line.strip()
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    )
+    return frozenset(line.strip() for line in _text_lines(path, "lexicon file") if line.strip())
+
+
+def _text_lines(path: str | Path, kind: str) -> list[str]:
+    """The lines of a UTF-8 text input; an unreadable or undecodable file
+    is a DataFormatError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read {kind} {path}: {exc}") from exc

@@ -5,9 +5,11 @@ verify -> train -> match -> represent -> {retrieve | detect} -> eval ->
 recount; _STAGE_TABLE pairs each stage with its upstream stages.
 represent scores every video with the whole concept bank, one column per
 concept, so it needs train but not match; retrieve and detect apply the
-query plans to those columns, so they need both match and represent. Each
-stage reads upstream artifacts from the model store, refuses to run
-when an upstream stage is missing or was built under a different config
+query plans to those columns, so they need both match and represent.
+_load_reps reads a split's table once per stage, as one
+videorep.RepresentationTable, whose columns method gathers a plan's
+concepts. Each stage reads upstream artifacts from the model store,
+refuses to run when an upstream stage is missing or was built under a different config
 hash, writes only files that no other stage writes, and rewrites
 byte-identical outputs when re-run on unchanged inputs. So ontology.json
 stays the bare hierarchy, and _concept_tree derives the verified concept
@@ -194,15 +196,14 @@ def _detector_bank(store: ModelStore, books: dict[str, encode.Codebook]) -> dete
     )
 
 
-def _load_reps(store: ModelStore, split: str) -> list[videorep.VideoRepresentation]:
+def _load_reps(store: ModelStore, split: str) -> videorep.RepresentationTable:
     path = store.path("representations", f"{split}.cbvr")
     header, scores = read_cbvr(path) if path.exists() else ({"video_ids": []}, None)
     if not header["video_ids"]:
         raise PreconditionError(f"no representations for split {split}")
-    return [
-        videorep.VideoRepresentation(video_id, header["concept_ids"], row, frames)
-        for video_id, row, frames in zip(header["video_ids"], scores, header["frames_used"])
-    ]
+    return videorep.RepresentationTable(
+        header["video_ids"], header["concept_ids"], scores, header["frames_used"]
+    )
 
 
 def _video_labels(
@@ -544,11 +545,11 @@ def _stage_represent(config: PipelineConfig, store: ModelStore, workers: int) ->
 
 def _stage_retrieve(config: PipelineConfig, store: ModelStore, workers: int) -> dict:
     tree = _tree(store)
-    reps = _load_reps(store, "test")
+    table = _load_reps(store, "test")
     report = {}
     for event in _sorted_events(tree):
         plan = _plan(store, event.id)
-        fusion = zero_shot_retrieve(plan, reps)
+        fusion = zero_shot_retrieve(plan, table)
         store.write_json(
             f"reports/retrieval/{event.id}.json",
             {
@@ -563,13 +564,13 @@ def _stage_retrieve(config: PipelineConfig, store: ModelStore, workers: int) -> 
             },
         )
         report[event.id] = fusion.d
-    return {"queries": report, "videos": len(reps)}
+    return {"queries": report, "videos": len(table.video_ids)}
 
 
 def _stage_detect(config: PipelineConfig, store: ModelStore, workers: int) -> dict:
     tree = _tree(store)
-    train_reps = _load_reps(store, "train")
-    test_reps = _load_reps(store, "test")
+    train = _load_reps(store, "train")
+    test = _load_reps(store, "test")
     labels = _video_labels(config, tree, config.path("video_manifest_train"))
     seed0 = config.seed_for("event")
     detectors = train_event_detectors(
@@ -577,10 +578,10 @@ def _stage_detect(config: PipelineConfig, store: ModelStore, workers: int) -> di
             (event.id, {vid for vid, eid in labels.items() if eid == event.id}, seed0 + idx)
             for idx, event in enumerate(_sorted_events(tree))
         ],
-        train_reps,
+        train,
         _layout(store, tree),
     )
-    rankings = detect_events(detectors, test_reps)
+    rankings = detect_events(detectors, test)
     for det in detectors:
         store.save_event_detector(det)
         store.write_json(
@@ -602,7 +603,7 @@ def _stage_eval(config: PipelineConfig, store: ModelStore, workers: int) -> dict
     if "retrieve" not in manifest and "detect" not in manifest:
         raise PreconditionError("missing upstream: retrieve or detect")
     truth = _video_labels(config, tree, config.path("video_manifest_test"))
-    test_ids = sorted(rep.video_id for rep in _load_reps(store, "test"))
+    test_ids = sorted(_load_reps(store, "test").video_ids)
     out: dict = {}
     for side, stage, report_dir, key, kind in (
         ("zero_shot", "retrieve", "retrieval", "ordering", list),
@@ -634,11 +635,7 @@ def _stage_eval(config: PipelineConfig, store: ModelStore, workers: int) -> dict
 
 def _stage_recount(config: PipelineConfig, store: ModelStore, workers: int) -> dict:
     names = {leaf.id: leaf.name for leaf in _concept_tree(store).concept_leaves()}
-    reps = _load_reps(store, "test")
-    doc = {
-        rep.video_id: [[name, score] for name, score in videorep.recount(rep, names)]
-        for rep in reps
-    }
+    doc = videorep.recount(_load_reps(store, "test"), names)
     store.write_json("reports/recount.json", doc)
     return {"videos": len(doc)}
 

@@ -8,8 +8,9 @@ result unchanged. The zero-shot path takes nothing but the query's
 concept plan and unlabeled test representations, so it cannot touch
 training labels by construction.
 
-Representations hold one column per bank concept; _stack_reps is the
-one place that maps concept ids to those columns.
+A split's representations arrive as one RepresentationTable, one column
+per bank concept; its columns method is the one place that maps concept
+ids to those columns.
 
 Supervised: a one-vs-all SVM with chi-square kernel over the columns of
 the concatenated query plans, hyperparameters picked by seeded 2-fold
@@ -48,7 +49,7 @@ from .detect import (
 from .errors import PreconditionError
 from .metrics import ap_from_arrays
 from .semmatch import QueryPlan
-from .videorep import VideoRepresentation
+from .videorep import RepresentationTable
 
 CV_C_GRID = (0.1, 1.0, 10.0, 100.0)
 CV_BANDWIDTH_SCALES = (0.5, 1.0, 2.0)
@@ -58,7 +59,6 @@ CV_BANDWIDTH_SCALES = (0.5, 1.0, 2.0)
 class RankList:
     concept_id: str
     ordering: list[str]  # video ids, best first
-    scores: dict[str, float] = field(default_factory=dict)  # audit only
 
     def __post_init__(self):
         if len(set(self.ordering)) != len(self.ordering):
@@ -83,12 +83,7 @@ def rank_list_from_scores(
     """Order videos by score desc; equal scores break by video id."""
     if not scores:
         raise PreconditionError(f"no scores to rank for {concept_id}")
-    ordering = sorted(scores, key=lambda v: (-scores[v], v))
-    return RankList(
-        concept_id=concept_id,
-        ordering=ordering,
-        scores={v: float(s) for v, s in scores.items()},
-    )
+    return RankList(concept_id, sorted(scores, key=lambda v: (-scores[v], v)))
 
 
 def fuse(lists: Sequence[RankList]) -> FusionResult:
@@ -117,16 +112,14 @@ def fuse(lists: Sequence[RankList]) -> FusionResult:
     )
 
 
-def zero_shot_retrieve(
-    plan: QueryPlan, reps: Sequence[VideoRepresentation]
-) -> FusionResult:
+def zero_shot_retrieve(plan: QueryPlan, table: RepresentationTable) -> FusionResult:
     """Rank unlabeled test videos for an event query's concept plan.
 
     Drops zero-similarity selections, forms one rank list per surviving
     concept from the representation scores, and fuses. Raises when no
     concept of the plan matches the query at all.
     """
-    if not reps:
+    if not table.video_ids:
         raise PreconditionError("no test representations")
     selected = [(cid, s) for cid, s in plan.selections if s > 0.0]
     if not selected:
@@ -134,9 +127,9 @@ def zero_shot_retrieve(
             f"query unmatched: no concept relates to {plan.query!r}"
         )
 
-    x = _stack_reps(reps, [cid for cid, _ in selected])
+    x = table.columns([cid for cid, _ in selected])
     return fuse([
-        rank_list_from_scores(cid, {rep.video_id: float(s) for rep, s in zip(reps, column)})
+        rank_list_from_scores(cid, dict(zip(table.video_ids, column.tolist())))
         for (cid, _), column in zip(selected, x.T)
     ])
 
@@ -155,30 +148,9 @@ class EventDetector:
         if self.bandwidth <= 0:
             raise PreconditionError("chi2 bandwidth must be positive")
 
-    def confidences(self, reps: Sequence[VideoRepresentation]) -> dict[str, float]:
-        x = _stack_reps(reps, self.concept_ids)
-        raw = self.model.raw_score_matrix({"rep": x})
-        cal = self.model.calibrated(raw)
-        return {rep.video_id: float(c) for rep, c in zip(reps, cal)}
-
-
-def _stack_reps(
-    reps: Sequence[VideoRepresentation], concept_ids: Sequence[str]
-) -> np.ndarray:
-    """The (videos x len(concept_ids)) scores of reps, column k holding
-    concept_ids[k]'s; every rep must list the same concepts."""
-    header = reps[0].concept_ids
-    for rep in reps:
-        if rep.concept_ids != header:
-            raise PreconditionError(f"representation layout mismatch at {rep.video_id}")
-    col = {cid: k for k, cid in enumerate(header)}
-    try:
-        index = [col[cid] for cid in concept_ids]
-    except KeyError as exc:
-        raise PreconditionError(f"representations lack concept {exc.args[0]}") from None
-    # np.take returns C order, unlike [:, index]; chi2_distances' sums, and
-    # with them the event detectors, change in their last bits in F order
-    return np.take(np.stack([rep.scores for rep in reps]), index, axis=1)
+    def confidences(self, table: RepresentationTable) -> dict[str, float]:
+        raw = self.model.raw_score_matrix({"rep": table.columns(self.concept_ids)})
+        return dict(zip(table.video_ids, self.model.calibrated(raw).tolist()))
 
 
 def _stratified_folds(
@@ -243,7 +215,7 @@ def _cv_grid(
 
 def train_event_detector(
     event_id: str,
-    reps: Sequence[VideoRepresentation],
+    table: RepresentationTable,
     positive_video_ids: set[str],
     concept_ids: Sequence[str],
     seed: int = 0,
@@ -255,7 +227,7 @@ def train_event_detector(
     """One-vs-all chi-square SVM over video representations: the
     one-event case of train_event_detectors."""
     (det,) = train_event_detectors(
-        [(event_id, positive_video_ids, seed)], reps, concept_ids, C_grid, bandwidth_scales,
+        [(event_id, positive_video_ids, seed)], table, concept_ids, C_grid, bandwidth_scales,
         gamma, tol,
     )
     return det
@@ -263,7 +235,7 @@ def train_event_detector(
 
 def train_event_detectors(
     events: Sequence[tuple[str, set[str], int]],
-    reps: Sequence[VideoRepresentation],
+    table: RepresentationTable,
     concept_ids: Sequence[str],
     C_grid: Sequence[float] = CV_C_GRID,
     bandwidth_scales: Sequence[float] = CV_BANDWIDTH_SCALES,
@@ -271,7 +243,7 @@ def train_event_detectors(
     tol: float = 1e-4,
 ) -> list[EventDetector]:
     """One detector per (event id, positive video ids, seed) of events,
-    all trained on the same videos reps, on their columns of concept_ids
+    all trained on the videos of table, on their columns of concept_ids
     (which may name a concept more than once).
 
     Per event, (C, bandwidth scale) are picked by 2-fold CV maximizing AP
@@ -280,10 +252,10 @@ def train_event_detectors(
     refits are trained in one train_mklsvm_lockstep call, their Grams
     drawn one at a time from the shared distance matrix.
     """
-    if not reps:
+    if not table.video_ids:
         raise PreconditionError("no training representations")
-    x = _stack_reps(reps, concept_ids)
-    ids = [rep.video_id for rep in reps]
+    x = table.columns(concept_ids)
+    ids = table.video_ids
     labels = []
     for event_id, positives, _ in events:
         y = np.array([1.0 if vid in positives else -1.0 for vid in ids])
@@ -347,13 +319,13 @@ def _cv_pick(
 
 
 def detect_events(
-    detectors: Sequence[EventDetector], reps: Sequence[VideoRepresentation]
+    detectors: Sequence[EventDetector], table: RepresentationTable
 ) -> dict[str, list[tuple[str, float]]]:
     """Per event, (video_id, confidence) ordered by confidence desc."""
-    if not reps:
+    if not table.video_ids:
         raise PreconditionError("no test representations")
     out: dict[str, list[tuple[str, float]]] = {}
     for det in detectors:
-        conf = det.confidences(reps)
+        conf = det.confidences(table)
         out[det.event_id] = sorted(conf.items(), key=lambda kv: (-kv[1], kv[0]))
     return out

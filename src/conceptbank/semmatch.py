@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Lexicon
+from .corpus import Lexicon, _text_lines
 from .errors import DataFormatError, PreconditionError
 from .ontology import ConceptBankTree
 
@@ -155,17 +155,10 @@ def plan_from_dict(doc: dict, source: str = "plan") -> QueryPlan:
     return QueryPlan(query=doc["query"], selections=[(c, float(s)) for c, s in sel], n=doc["n"])
 
 
-def _table_lines(path: str | Path, kind: str) -> list[str]:
-    try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"cannot read {kind} {path}: {exc}") from exc
-
-
 def load_word_pairs(path: str | Path) -> dict[tuple[str, str], float]:
     """Word-pair table: TSV rows of word<TAB>word<TAB>similarity."""
     pairs: dict[tuple[str, str], float] = {}
-    for lineno, line in enumerate(_table_lines(path, "word-pair table"), start=1):
+    for lineno, line in enumerate(_text_lines(path, "word-pair table"), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -187,7 +180,7 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
     """Embedding table: one line per word, word then float components."""
     table: dict[str, np.ndarray] = {}
     dim = None
-    for lineno, line in enumerate(_table_lines(path, "embedding table"), start=1):
+    for lineno, line in enumerate(_text_lines(path, "embedding table"), start=1):
         if not line.strip():
             continue
         parts = line.split()

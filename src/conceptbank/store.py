@@ -82,7 +82,7 @@ class ModelStore:
             raise PreconditionError(f"no model store at {self.root}")
         try:
             doc = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataFormatError(f"corrupt store manifest {self.manifest_path}: {exc}") from exc
         keys = {"version": int, "config_hash": str, "stages": dict}
         (manifest,) = self.checked("manifest.json", [doc], keys)
@@ -128,8 +128,8 @@ class ModelStore:
             return json.loads(p.read_text(encoding="utf-8"))
         except OSError as exc:
             raise PreconditionError(f"missing store artifact {relpath}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"corrupt store artifact {relpath}: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataFormatError(f"corrupt store artifact {p}: {exc}") from exc
 
     def checked(self, relpath: str, entries, keys: dict) -> list[dict]:
         """entries, if it is a list of dicts whose keys have exactly these

@@ -5,9 +5,11 @@ temporal spacing, each is encoded and scored by the selected concept
 detectors (one product per channel scores every concept), and the
 per-concept calibrated scores are average-pooled over frames. The pooled
 vector, one score per concept of the bank in the bank's order, is the
-video's representation; retrieval and event detection pick the columns
-of the concepts their plans name. Recounting is simply the top-k
-concepts of that vector.
+video's representation. A split's representations form one
+RepresentationTable, a row per video and a column per concept, and
+RepresentationTable.columns is the one map from concept ids to columns:
+retrieval and event detection gather the columns of the concepts their
+plans name. Recounting is simply the top-k concepts of each row.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .corpus import _text_lines
 from .detect import DetectorBank
 from .errors import DataFormatError, PreconditionError
 
@@ -39,17 +42,39 @@ class VideoManifestEntry:
 @dataclass
 class VideoRepresentation:
     video_id: str
-    concept_ids: list[str]
-    scores: np.ndarray
+    scores: np.ndarray  # one per bank concept, in the bank's order
     frames_used: int
 
+
+@dataclass
+class RepresentationTable:
+    """One split's representations: row i holds video_ids[i]'s scores,
+    column k concept_ids[k]'s."""
+
+    video_ids: list[str]
+    concept_ids: list[str]
+    scores: np.ndarray  # (videos x concepts) float64
+    frames_used: list[int]
+
     def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64).ravel()
-        if self.scores.size != len(self.concept_ids):
+        self.scores = np.asarray(self.scores, dtype=np.float64)
+        shape = (len(self.video_ids), len(self.concept_ids))
+        if self.scores.shape != shape:
             raise PreconditionError(
-                f"video {self.video_id}: {self.scores.size} scores for "
-                f"{len(self.concept_ids)} concepts"
+                f"{self.scores.shape} scores for {shape[0]} videos x {shape[1]} concepts"
             )
+
+    def columns(self, concept_ids: Sequence[str]) -> np.ndarray:
+        """The (videos x len(concept_ids)) scores, column k holding
+        concept_ids[k]'s; an id may repeat."""
+        col = {cid: k for k, cid in enumerate(self.concept_ids)}
+        try:
+            index = [col[cid] for cid in concept_ids]
+        except KeyError as exc:
+            raise PreconditionError(f"representations lack concept {exc.args[0]}") from None
+        # np.take returns C order, unlike [:, index]; chi2_distances' sums, and
+        # with them the event detectors, change in their last bits in F order
+        return np.take(self.scores, index, axis=1)
 
 
 def sample_frames(frames: Sequence, m: int = 20) -> list:
@@ -91,35 +116,35 @@ def represent(
         raise DataFormatError(f"video {entry.video_id}: no usable frames")
     return VideoRepresentation(
         video_id=entry.video_id,
-        concept_ids=list(bank.concept_ids),
         scores=bank.calibrated(bank.raw_scores(stacked)).mean(axis=0),
         frames_used=len(kept),
     )
 
 
 def recount(
-    rep: VideoRepresentation, names: Mapping[str, str], k: int = 5
-) -> list[tuple[str, float]]:
-    """Top-k (concept name, score), score desc, ties by name."""
-    if rep.scores.size == 0:
+    table: RepresentationTable, names: Mapping[str, str], k: int = 5
+) -> dict[str, list[tuple[str, float]]]:
+    """Per video, its top-k (concept name, score), score desc, ties by name."""
+    if not table.concept_ids:
         raise PreconditionError("empty representation")
-    pairs = [(names.get(cid, cid), float(s)) for cid, s in zip(rep.concept_ids, rep.scores)]
-    pairs.sort(key=lambda p: (-p[1], p[0]))
-    return pairs[: max(0, k)]
+    labels = [names.get(cid, cid) for cid in table.concept_ids]
+    by_label = np.array(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.intp)
+    out = {}
+    for video_id, row in zip(table.video_ids, table.scores):
+        row = row[by_label]
+        # a stable sort by score desc keeps equal scores in label order
+        top = np.argsort(-row, kind="stable")[: max(0, k)]
+        out[video_id] = [(labels[by_label[j]], float(row[j])) for j in top]
+    return out
 
 
 def video_manifest_rows(path: str | Path) -> list[tuple[str, str | None, str]]:
     """(video_id, event label or None, frames field) per TSV row of a
     video manifest, with the field count and video ids checked; the
     frames field is not resolved."""
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read video manifest {path}: {exc}") from exc
     rows = []
     seen: set[str] = set()
-    for ln, line in enumerate(lines, start=1):
+    for ln, line in enumerate(_text_lines(path, "video manifest"), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.rstrip("\n").split("\t")
@@ -134,6 +159,8 @@ def video_manifest_rows(path: str | Path) -> list[tuple[str, str | None, str]]:
             raise DataFormatError(f"{path}:{ln}: duplicate video id {video_id}")
         seen.add(video_id)
         rows.append((video_id, None if label in ("", "-") else label, frames_field))
+    if not rows:
+        raise DataFormatError(f"video manifest {path} has no video rows")
     return rows
 
 

@@ -182,6 +182,45 @@ def test_an_image_manifest_without_rows_exits_3_naming_it(full_store, corpus_dir
     assert str(corpus / "images.tsv") in capsys.readouterr().err
 
 
+def _not_utf8(path) -> None:
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+
+
+def _no_rows(path) -> None:
+    path.write_text("# video_id\tlabel\tframes\n", encoding="utf-8")
+
+
+def test_undecodable_or_empty_inputs_exit_3_naming_the_file(full_store, corpus_dir, tmp_path, capsys):
+    corpus, store = tmp_path / "corpus", tmp_path / "store"
+    shutil.copytree(corpus_dir[0], corpus)
+    shutil.copytree(full_store.root, store)
+    config = corpus / "config.json"
+    concept = min(p.stem for p in (store / "selections").glob("*.json"))
+    event = min(p.stem for p in (store / "plans").glob("*.json"))
+    cases = [  # (stage, file, corruption); each file is restored after its case
+        ("discover", corpus / "images.tsv", _not_utf8),
+        *(("discover", corpus / "lexicon" / name, _not_utf8)
+          for name in ("lemma.tsv", "stopwords.txt", "meaningless.txt", "vocabulary.txt")),
+        ("represent", corpus / "videos_train.tsv", _not_utf8),
+        ("represent", corpus / "videos_test.tsv", _not_utf8),
+        ("represent", corpus / "videos_train.tsv", _no_rows),
+        ("detect", corpus / "videos_train.tsv", _no_rows),
+        ("select", store / "candidates.json", _not_utf8),
+        ("train", store / "selections" / f"{concept}.json", _not_utf8),
+        ("train", store / "reports" / "visualness.json", _not_utf8),
+        ("retrieve", store / "plans" / f"{event}.json", _not_utf8),
+        ("eval", store / "manifest.json", _not_utf8),
+    ]
+    for stage, path, corrupt in cases:
+        original = path.read_bytes()
+        corrupt(path)
+        assert run_cli(stage, "--store", store, "--config", config) == 3, (stage, path.name)
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err, (stage, path.name)
+        path.write_bytes(original)
+    assert run_cli("represent", "--store", store, "--config", config) == 0
+
+
 def _json_edit(change):
     def corrupt(path):
         doc = json.loads(path.read_text())

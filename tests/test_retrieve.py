@@ -35,7 +35,7 @@ from conceptbank.retrieve import (
 )
 from conceptbank.semmatch import SimilarityProvider, select_concepts
 from conceptbank.store import ModelStore
-from conceptbank.videorep import VideoRepresentation
+from conceptbank.videorep import RepresentationTable
 
 from conftest import small_tree
 from oracles import fusion_formula, mkl_by_smo
@@ -106,8 +106,11 @@ def test_rank_list_from_scores_breaks_ties_by_id():
         rank_list_from_scores("c", {})
 
 
-def rep(video_id, ids, scores):
-    return VideoRepresentation(video_id, list(ids), np.asarray(scores, float), 1)
+def table(video_ids, layout, scores):
+    """A representation table, one frame per video."""
+    return RepresentationTable(
+        list(video_ids), list(layout), np.asarray(scores, float), [1] * len(video_ids)
+    )
 
 
 def retrieval_setup():
@@ -134,11 +137,7 @@ def retrieval_setup():
 def test_zero_shot_uses_only_matching_concepts():
     tree, leaves, provider = retrieval_setup()
     layout = [leaves["brush"], leaves["towel"]]
-    reps = [
-        rep("v0", layout, [0.9, 0.0]),
-        rep("v1", layout, [0.5, 0.9]),
-        rep("v2", layout, [0.1, 0.9]),
-    ]
+    reps = table(["v0", "v1", "v2"], layout, [[0.9, 0.0], [0.5, 0.9], [0.1, 0.9]])
     plan = select_concepts("wash", tree, provider)
     result = zero_shot_retrieve(plan, reps)
     # towel has similarity 0, so only the brush column drives the ranking
@@ -151,22 +150,16 @@ def test_zero_shot_uses_only_matching_concepts():
 def test_zero_shot_rejects_unmatched_queries_and_bad_layouts():
     tree, leaves, provider = retrieval_setup()
     layout = [leaves["brush"], leaves["towel"]]
-    reps = [rep("v0", layout, [0.9, 0.0])]
+    reps = table(["v0"], layout, [[0.9, 0.0]])
     unmatched = select_concepts("xylophone", tree, provider)
     with pytest.raises(PreconditionError, match="query unmatched.*xylophone"):
         zero_shot_retrieve(unmatched, reps)
     plan = select_concepts("wash", tree, provider)
     with pytest.raises(PreconditionError, match="no test representations"):
-        zero_shot_retrieve(plan, [])
-    missing = [rep("v0", [leaves["towel"]], [0.4])]
+        zero_shot_retrieve(plan, table([], layout, np.zeros((0, 2))))
+    missing = table(["v0"], [leaves["towel"]], [[0.4]])
     with pytest.raises(PreconditionError, match="lack concept"):
         zero_shot_retrieve(plan, missing)
-    ragged = [
-        rep("v0", layout, [0.9, 0.0]),
-        rep("v1", [leaves["towel"], leaves["brush"]], [0.9, 0.0]),
-    ]
-    with pytest.raises(PreconditionError, match="layout mismatch"):
-        zero_shot_retrieve(plan, ragged)
 
 
 @settings(deadline=None, max_examples=25)
@@ -176,10 +169,9 @@ def test_zero_shot_invariant_to_monotone_score_rescaling(seed):
     layout = [leaves["brush"], leaves["towel"]]
     rng = np.random.default_rng(seed)
     scores = rng.random((6, 2))
-    reps = [rep(f"v{i}", layout, s) for i, s in enumerate(scores)]
-    warped = [
-        rep(f"v{i}", layout, np.exp(3.0 * s) - 0.5) for i, s in enumerate(scores)
-    ]
+    ids = [f"v{i}" for i in range(6)]
+    reps = table(ids, layout, scores)
+    warped = table(ids, layout, np.exp(3.0 * scores) - 0.5)
     plan = select_concepts("wash", tree, provider)
     a = zero_shot_retrieve(plan, reps)
     b = zero_shot_retrieve(plan, warped)
@@ -224,16 +216,12 @@ LAYOUT = ["con-a", "con-b", "con-c"]
 def event_reps(seed=0, n_per=12):
     """Two separable groups of 3-concept representations."""
     rng = np.random.default_rng(seed)
-    reps, positives = [], set()
+    ids, rows = [], []
     for i in range(n_per):
-        reps.append(
-            rep(f"pos-{i:02d}", LAYOUT, np.clip([0.8, 0.7, 0.1] + 0.05 * rng.normal(size=3), 0, 1))
-        )
-        positives.add(f"pos-{i:02d}")
-        reps.append(
-            rep(f"neg-{i:02d}", LAYOUT, np.clip([0.1, 0.2, 0.8] + 0.05 * rng.normal(size=3), 0, 1))
-        )
-    return reps, positives
+        for group, center in (("pos", [0.8, 0.7, 0.1]), ("neg", [0.1, 0.2, 0.8])):
+            ids.append(f"{group}-{i:02d}")
+            rows.append(np.clip(center + 0.05 * rng.normal(size=3), 0, 1))
+    return table(ids, LAYOUT, rows), {v for v in ids if v.startswith("pos")}
 
 
 def test_event_detector_learns_a_separable_split():
@@ -258,9 +246,9 @@ def test_event_detector_is_seeded_and_guards_one_class():
     with pytest.raises(PreconditionError, match="one-class"):
         train_event_detector("evt-0000", reps, set(), LAYOUT)
     with pytest.raises(PreconditionError, match="no training representations"):
-        train_event_detector("evt-0000", [], positives, LAYOUT)
+        train_event_detector("evt-0000", table([], LAYOUT, np.zeros((0, 3))), positives, LAYOUT)
     with pytest.raises(PreconditionError, match="no test representations"):
-        detect_events([a], [])
+        detect_events([a], table([], LAYOUT, np.zeros((0, 3))))
 
 
 def test_event_detectors_train_on_the_columns_their_layout_names():
@@ -269,7 +257,7 @@ def test_event_detectors_train_on_the_columns_their_layout_names():
     # columns are exactly that layout
     reps, positives = event_reps()
     layout = ["con-c", "con-a", "con-c"]
-    gathered = [rep(r.video_id, layout, r.scores[[2, 0, 2]]) for r in reps]
+    gathered = table(reps.video_ids, layout, reps.scores[:, [2, 0, 2]])
     got = train_event_detector("evt-0000", reps, positives, layout, seed=1)
     want = train_event_detector("evt-0000", gathered, positives, layout, seed=1)
     assert got.concept_ids == layout
@@ -279,7 +267,7 @@ def test_event_detectors_train_on_the_columns_their_layout_names():
     with pytest.raises(PreconditionError, match="representations lack concept con-z"):
         train_event_detector("evt-0000", reps, positives, ["con-a", "con-z"])
     with pytest.raises(PreconditionError, match="representations lack concept con-a"):
-        got.confidences([rep(r.video_id, ["con-b", "con-c"], r.scores[[1, 2]]) for r in reps])
+        got.confidences(table(reps.video_ids, ["con-b", "con-c"], reps.scores[:, [1, 2]]))
 
 
 def test_tiny_event_training_skips_cross_validation():
@@ -329,11 +317,11 @@ def three_events(seed=0):
     rng = np.random.default_rng(seed)
     layout = ["con-a", "con-b", "con-c", "con-d"]
     centers = ([0.8, 0.2, 0.1, 0.3], [0.1, 0.8, 0.2, 0.3], [0.2, 0.1, 0.8, 0.3])
-    reps = [
-        rep(f"g{g}-{i:02d}", layout, np.clip(np.array(c) + 0.1 * rng.normal(size=4), 0, 1))
-        for i in range(12)
-        for g, c in enumerate(centers)
-    ]
+    reps = table(
+        [f"g{g}-{i:02d}" for i in range(12) for g in range(3)],
+        layout,
+        [np.clip(np.array(c) + 0.1 * rng.normal(size=4), 0, 1) for _ in range(12) for c in centers],
+    )
     events = [
         ("evt-0000", {f"g0-{i:02d}" for i in range(12)}, 3),
         ("evt-0001", {f"g1-{i:02d}" for i in range(12)}, 4),
@@ -344,10 +332,10 @@ def three_events(seed=0):
 
 def test_a_batch_of_events_equals_one_detector_per_event():
     reps, events = three_events()
-    batch = train_event_detectors(events, reps, reps[0].concept_ids)
+    batch = train_event_detectors(events, reps, reps.concept_ids)
     assert [det.event_id for det in batch] == [event_id for event_id, _, _ in events]
     for (event_id, positives, seed), det in zip(events, batch):
-        alone = train_event_detector(event_id, reps, positives, reps[0].concept_ids, seed=seed)
+        alone = train_event_detector(event_id, reps, positives, reps.concept_ids, seed=seed)
         got, want = det.model, alone.model
         assert np.array_equal(got.alpha, want.alpha) and got.bias == want.bias
         assert got.support_ids == want.support_ids and got.platt == want.platt
@@ -360,10 +348,9 @@ def test_a_batch_of_events_equals_one_detector_per_event():
 
 def test_each_event_refit_equals_the_one_dual_reference():
     reps, events = three_events(seed=1)
-    x = np.stack([r.scores for r in reps])
-    ids = [r.video_id for r in reps]
+    x, ids = reps.scores, reps.video_ids
     base_bw = mean_chi2_bandwidth(chi2_distances(x, x))
-    for (event_id, positives, _), det in zip(events, train_event_detectors(events, reps, reps[0].concept_ids)):
+    for (event_id, positives, _), det in zip(events, train_event_detectors(events, reps, reps.concept_ids)):
         assert det.bandwidth == base_bw * det.bandwidth_scale
         spec = KernelSpec("chi2", bandwidth=det.bandwidth)
         problem = DetectorTrainingProblem(
@@ -380,10 +367,10 @@ def test_each_event_refit_equals_the_one_dual_reference():
 
 def test_a_one_class_event_in_a_batch_is_named():
     reps, events = three_events()
-    everyone = {r.video_id for r in reps}
+    everyone = set(reps.video_ids)
     for bad in (("evt-none", set(), 1), ("evt-all", everyone, 1)):
         with pytest.raises(PreconditionError, match=f"event {bad[0]}: one-class"):
-            train_event_detectors([events[0], bad, events[1]], reps, reps[0].concept_ids)
+            train_event_detectors([events[0], bad, events[1]], reps, reps.concept_ids)
 
 
 def test_detect_stage_computes_the_training_distances_once(

@@ -15,8 +15,8 @@ from conceptbank.encode import PYRAMID_BLOCKS, Codebook, encode_paths
 from conceptbank.errors import DataFormatError, PreconditionError
 from conceptbank.formats import read_cbvr, write_cbfv
 from conceptbank.videorep import (
+    RepresentationTable,
     VideoManifestEntry,
-    VideoRepresentation,
     load_video_manifest,
     recount,
     represent,
@@ -102,7 +102,6 @@ def test_represent_pools_calibrated_scores_over_frames():
     entry = VideoManifestEntry("vid-0", ["f0", "f1"])
     bank = bank_of(*det.values())
     rep = represent(entry, bank, frame_encoder(table), m=4)
-    assert rep.concept_ids == ["con-a", "con-b"]
     assert rep.frames_used == 2
     assert np.all(rep.scores > 0) and np.all(rep.scores < 1)
     hand = [
@@ -223,40 +222,58 @@ def test_a_bad_frame_inside_a_chunk_shifts_no_other_video(
     assert f"video {ids[middle]}: no usable frames" in capsys.readouterr().err
 
 
-def rep_of(ids, scores):
-    return VideoRepresentation("vid", list(ids), np.asarray(scores, float), 1)
+def table_of(concept_ids, rows, video_ids=None):
+    """A representation table, videos vid-0, vid-1, ... unless named."""
+    video_ids = video_ids or [f"vid-{i}" for i in range(len(rows))]
+    scores = np.asarray(rows, float).reshape(len(video_ids), len(concept_ids))
+    return RepresentationTable(video_ids, list(concept_ids), scores, [1] * len(video_ids))
 
 
 def test_recount_orders_and_names():
-    rep = rep_of(["c1", "c2", "c3"], [0.2, 0.9, 0.5])
+    table = table_of(["c1", "c2", "c3"], [[0.2, 0.9, 0.5], [0.7, 0.1, 0.3]])
     names = {"c1": "brush", "c2": "towel", "c3": "rope"}
-    assert recount(rep, names, k=2) == [("towel", 0.9), ("rope", 0.5)]
-    assert recount(rep, names, k=10) == [
+    assert recount(table, names, k=2) == {
+        "vid-0": [("towel", 0.9), ("rope", 0.5)],
+        "vid-1": [("brush", 0.7), ("rope", 0.3)],
+    }
+    assert recount(table, names, k=10)["vid-0"] == [
         ("towel", 0.9),
         ("rope", 0.5),
         ("brush", 0.2),
     ]
     # unnamed ids fall back to the id itself
-    assert recount(rep_of(["cx"], [0.1]), {}, k=1) == [("cx", 0.1)]
+    assert recount(table_of(["cx"], [[0.1]]), {}, k=1) == {"vid-0": [("cx", 0.1)]}
 
 
 def test_recount_ties_break_alphabetically():
-    rep = rep_of(["c1", "c2"], [0.4, 0.4])
-    assert recount(rep, {"c1": "zeta", "c2": "alpha"}, k=2) == [
-        ("alpha", 0.4),
-        ("zeta", 0.4),
-    ]
+    table = table_of(["c1", "c2", "c3"], [[0.4, 0.4, 0.4]])
+    assert recount(table, {"c1": "zeta", "c2": "alpha", "c3": "mid"}, k=3) == {
+        "vid-0": [("alpha", 0.4), ("mid", 0.4), ("zeta", 0.4)],
+    }
 
 
 def test_recount_guards():
     with pytest.raises(PreconditionError, match="empty representation"):
-        recount(rep_of([], []), {}, k=3)
-    assert recount(rep_of(["c1"], [0.5]), {}, k=0) == []
+        recount(table_of([], [[]]), {}, k=3)
+    assert recount(table_of(["c1"], [[0.5]]), {}, k=0) == {"vid-0": []}
 
 
 def test_representation_shape_guard():
-    with pytest.raises(PreconditionError, match="2 scores for 1"):
-        VideoRepresentation("vid", ["c1"], np.array([0.1, 0.2]), 1)
+    with pytest.raises(PreconditionError, match=re.escape("(2, 1) scores for 2 videos x 2 concepts")):
+        RepresentationTable(["v0", "v1"], ["c1", "c2"], np.zeros((2, 1)), [1, 1])
+    with pytest.raises(PreconditionError, match=re.escape("(2,) scores for 1 videos x 2 concepts")):
+        RepresentationTable(["v0"], ["c1", "c2"], np.array([0.1, 0.2]), [1])
+
+
+def test_table_columns_gather_in_the_asked_order():
+    table = table_of(["c1", "c2", "c3"], [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+    got = table.columns(["c3", "c1", "c3"])  # reordered, one id twice, c2 left out
+    assert np.array_equal(got, [[0.3, 0.1, 0.3], [0.6, 0.4, 0.6]])
+    # C order: chi2_distances' sums give other last bits on an F-ordered matrix
+    assert got.flags.c_contiguous
+    assert table.columns([]).shape == (2, 0)
+    with pytest.raises(PreconditionError, match="representations lack concept c9"):
+        table.columns(["c1", "c9"])
 
 
 def test_video_manifest_parsing(tmp_path):
