@@ -66,14 +66,6 @@ class KernelSpec:
     kind: str = "linear"  # "linear" or "chi2"
     bandwidth: float | None = None  # chi2 normalizer A
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "bandwidth": self.bandwidth}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KernelSpec":
-        bw = d.get("bandwidth")
-        return cls(kind=d["kind"], bandwidth=None if bw is None else float(bw))
-
 
 def chi2_distances(x: np.ndarray, z: np.ndarray, eps: float = 1e-10) -> np.ndarray:
     """Pairwise chi-square distances sum (x-z)^2 / (x+z+eps), chunked over

@@ -28,7 +28,7 @@ config, so the store's bytes do not depend on the worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -208,13 +208,14 @@ def _load_reps(store: ModelStore, split: str) -> videorep.RepresentationTable:
 
 def _video_labels(
     config: PipelineConfig, tree: ConceptBankTree, split_path: Path
-) -> dict[str, str]:
-    """video id -> event id, from a manifest's label column; the frame
-    directories are not listed again (represent already did)."""
+) -> dict[str, str | None]:
+    """video id -> event id (None if unlabeled), one entry per row of a
+    manifest, so its keys are the split's representation rows (represent
+    writes one per row or fails); the frame directories are not listed
+    again (represent already did)."""
     return {
-        video_id: tree.event_by_name(label).id
+        video_id: None if label is None else tree.event_by_name(label).id
         for video_id, label, _frames in videorep.video_manifest_rows(split_path)
-        if label is not None
     }
 
 
@@ -442,9 +443,11 @@ def _stage_train(config: PipelineConfig, store: ModelStore, workers: int) -> dic
 
     models = detect.train_mklsvm_lockstep(problems(), [leaf.id for leaf in leaves])
     banks, detectors = [], {}
-    for model, (train_ids, _, ho_ids, ho_labels) in zip(models, splits):
-        # calibrate the weights as stored: folded, then rounded to f32
-        bank = detect.DetectorBank.fold(detect.with_support(model, features(train_ids)))
+    for model, (_, _, ho_ids, ho_labels) in zip(models, splits):
+        # calibrate the weights as stored: folded, then rounded to f32; only
+        # the support rows are gathered, the same bits with_support takes
+        support = features(model.support_ids)
+        bank = detect.DetectorBank.fold(replace(model, support_features=support))
         bank.platt[:, 0] = detect.fit_platt(bank.raw_scores(features(ho_ids))[:, 0], ho_labels)
         banks.append(bank)
         detectors[model.concept_id] = {
@@ -583,7 +586,7 @@ def _stage_detect(config: PipelineConfig, store: ModelStore, workers: int) -> di
     )
     rankings = detect_events(detectors, test)
     for det in detectors:
-        store.save_event_detector(det)
+        store.save_detector(det)
         store.write_json(
             f"reports/detection/{det.event_id}.json",
             {
@@ -603,7 +606,7 @@ def _stage_eval(config: PipelineConfig, store: ModelStore, workers: int) -> dict
     if "retrieve" not in manifest and "detect" not in manifest:
         raise PreconditionError("missing upstream: retrieve or detect")
     truth = _video_labels(config, tree, config.path("video_manifest_test"))
-    test_ids = sorted(_load_reps(store, "test").video_ids)
+    test_ids = sorted(truth)
     out: dict = {}
     for side, stage, report_dir, key, kind in (
         ("zero_shot", "retrieve", "retrieval", "ordering", list),
@@ -621,7 +624,7 @@ def _stage_eval(config: PipelineConfig, store: ModelStore, workers: int) -> dict
                     f"{store.path(relpath)}: {key} does not list each of the "
                     f"{len(test_ids)} test videos once"
                 )
-            relevance = {vid: int(truth.get(vid) == event.id) for vid in ordering}
+            relevance = {vid: int(truth[vid] == event.id) for vid in ordering}
             per_event[event.id] = average_precision(
                 LabeledRanking(tuple(ordering), relevance)
             )

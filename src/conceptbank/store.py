@@ -9,7 +9,9 @@ Layout under the root:
     features.cbfh          every manifest image's encoded features
     selections/            per-concept training-set choices (JSON)
     detectors.cbdt         every concept detector, folded into weights
-    event_detectors/       supervised event models (JSON header + f32 .bin)
+    event_detectors/       one JSON per supervised event model: its alpha,
+                           bias, Platt pair, bandwidth and support video ids
+                           (the support rows are read from train.cbvr)
     plans/                 per-event query plans (JSON)
     representations/       one CBVR file per split, one column per concept
                            of detectors.cbdt (plans are applied at query time)
@@ -36,6 +38,7 @@ import numpy as np
 from .detect import DetectorModel, KernelSpec
 from .errors import DataFormatError, PreconditionError
 from .retrieve import EventDetector
+from .videorep import RepresentationTable
 
 STORE_VERSION = 1
 _EVENT_DIR = "event_detectors"
@@ -145,78 +148,78 @@ class ModelStore:
 
     # -- event detector persistence -------------------------------------
 
-    def save_detector(self, model: DetectorModel) -> None:
-        dims = {c: int(model.support_features[c].shape[1]) for c in model.channels}
-        header = {
-            "concept_id": model.concept_id,
-            "channels": list(model.channels),
-            "beta": [float(b) for b in model.beta],
-            "bias": float(model.bias),
-            "platt": [float(model.platt[0]), float(model.platt[1])],
-            "support_ids": list(model.support_ids),
-            "kernels": {c: model.kernels[c].to_dict() for c in model.channels},
-            "objective": float(model.objective),
-            "dims": dims,
-            "count": int(model.alpha.size),
-        }
-        self.write_json(f"{_EVENT_DIR}/{model.concept_id}.json", header)
-        blobs = [
-            model.alpha.astype("<f4").tobytes(),
-            model.support_labels.astype("<f4").tobytes(),
-        ]
-        for c in model.channels:
-            blobs.append(np.ascontiguousarray(
-                model.support_features[c], dtype="<f4").tobytes())
-        self.path(_EVENT_DIR, f"{model.concept_id}.bin").write_bytes(b"".join(blobs))
-
-    def load_detector(self, concept_id: str) -> DetectorModel:
-        header = self.read_json(f"{_EVENT_DIR}/{concept_id}.json")
-        bin_path = self.path(_EVENT_DIR, f"{concept_id}.bin")
-        try:
-            raw = np.frombuffer(bin_path.read_bytes(), dtype="<f4").astype(np.float64)
-        except OSError as exc:
-            raise PreconditionError(f"missing detector data for {concept_id}") from exc
-        n = int(header["count"])
-        alpha, cursor = raw[:n], n
-        labels, cursor = raw[cursor : cursor + n], cursor + n
-        feats: dict[str, np.ndarray] = {}
-        for c in header["channels"]:
-            d = int(header["dims"][c])
-            if cursor + n * d > raw.size:
-                raise DataFormatError(f"detector blob for {concept_id} is truncated")
-            feats[c] = raw[cursor : cursor + n * d].reshape(n, d)
-            cursor += n * d
-        if cursor != raw.size:
-            raise DataFormatError(f"detector blob for {concept_id} has trailing data")
-        return DetectorModel(
-            concept_id=header["concept_id"],
-            channels=list(header["channels"]),
-            beta=np.array(header["beta"], dtype=np.float64),
-            alpha=alpha,
-            support_labels=labels,
-            bias=float(header["bias"]),
-            support_ids=list(header["support_ids"]),
-            support_features=feats,
-            kernels={
-                c: KernelSpec.from_dict(header["kernels"][c])
-                for c in header["channels"]
-            },
-            platt=(float(header["platt"][0]), float(header["platt"][1])),
-            objective=float(header["objective"]),
-        )
-
-    def save_event_detector(self, det: EventDetector) -> None:
-        self.save_detector(det.model)
-        header = {
+    def save_detector(self, det: EventDetector) -> None:
+        """event_detectors/<event>.json: the detector's fields, its model's
+        bias and Platt pair, and its support set as [video id, alpha,
+        label] rows in trained order. json writes every float exactly;
+        the support features are rows of the train representations."""
+        m = det.model
+        self.write_json(f"{_EVENT_DIR}/{det.event_id}.json", {
             "event_id": det.event_id,
             "concept_ids": list(det.concept_ids),
             "C": float(det.C),
             "bandwidth": float(det.bandwidth),
             "bandwidth_scale": float(det.bandwidth_scale),
             "cv_ap": float(det.cv_ap),
-            "model": det.model.concept_id,
-        }
-        self.write_json(f"{_EVENT_DIR}/{det.event_id}.meta.json", header)
+            "bias": float(m.bias),
+            "platt": {"a": float(m.platt[0]), "b": float(m.platt[1])},
+            "support": [
+                list(row)
+                for row in zip(m.support_ids, m.alpha.tolist(), m.support_labels.tolist())
+            ],
+        })
+
+    def load_detector(self, event_id: str, table: RepresentationTable) -> EventDetector:
+        """The chi2 event detector save_detector wrote, its support
+        features taken by video id from table, the train representations;
+        DataFormatError naming the file if it is malformed or does not
+        fit table."""
+        relpath = f"{_EVENT_DIR}/{event_id}.json"
+        (doc,) = self.checked(relpath, [self.read_json(relpath)], _EVENT_KEYS)
+        (platt,) = self.checked(relpath, [doc["platt"]], {"a": float, "b": float})
+        if doc["event_id"] != event_id:
+            raise DataFormatError(f"{self.path(relpath)} holds event {doc['event_id']!r}")
+        ids = [vid for vid, _, _ in doc["support"]]
+        row = {vid: k for k, vid in enumerate(table.video_ids)}
+        try:
+            features = table.columns(doc["concept_ids"])[[row[vid] for vid in ids]]
+            model = DetectorModel(
+                concept_id=event_id,
+                channels=["rep"],
+                beta=np.array([1.0]),
+                alpha=np.array([a for _, a, _ in doc["support"]]),
+                support_labels=np.array([y for _, _, y in doc["support"]]),
+                bias=doc["bias"],
+                support_ids=ids,
+                support_features={"rep": features},
+                kernels={"rep": KernelSpec("chi2", bandwidth=doc["bandwidth"])},
+                platt=(platt["a"], platt["b"]),
+            )
+            return EventDetector(
+                event_id=event_id, concept_ids=doc["concept_ids"], model=model, C=doc["C"],
+                bandwidth=doc["bandwidth"], bandwidth_scale=doc["bandwidth_scale"],
+                cv_ap=doc["cv_ap"],
+            )
+        except KeyError as exc:
+            raise DataFormatError(
+                f"malformed {self.path(relpath)}: support video {exc.args[0]!r} "
+                "is not a row of the train representations"
+            ) from None
+        except PreconditionError as exc:
+            raise DataFormatError(f"malformed {self.path(relpath)}: {exc}") from None
+
+
+_EVENT_KEYS = {
+    "event_id": str,
+    "concept_ids": list,
+    "C": float,
+    "bandwidth": float,
+    "bandwidth_scale": float,
+    "cv_ap": float,
+    "bias": float,
+    "platt": dict,
+    "support": (str, float, float),
+}
 
 
 def _fits(value, kind) -> bool:

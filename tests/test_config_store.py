@@ -11,6 +11,7 @@ from conceptbank.detect import DetectorModel, KernelSpec
 from conceptbank.errors import DataFormatError, PreconditionError
 from conceptbank.retrieve import EventDetector
 from conceptbank.store import ModelStore
+from conceptbank.videorep import RepresentationTable
 
 
 def test_config_defaults_match_operating_point():
@@ -127,95 +128,130 @@ def test_store_json_io(tmp_path):
         ModelStore(tmp_path / "elsewhere").read_manifest()
 
 
-def sample_detector(concept_id="con-7"):
+def sample_event_detector(event_id="evt-0002"):
+    """A chi2 event detector whose support set is three videos of a
+    five-video representation table, and that table."""
     rng = np.random.default_rng(0)
-    return DetectorModel(
-        concept_id=concept_id,
-        channels=["syn-a", "syn-b"],
-        beta=np.array([0.75, 0.25]),
-        alpha=np.array([0.5, 1.0, 0.25]),
+    table = RepresentationTable(
+        [f"vid-{k}" for k in range(5)], ["con-1", "con-2", "con-3"], rng.random((5, 3)), [4] * 5
+    )
+    concept_ids = ["con-3", "con-1", "con-3"]  # a layout may name a concept twice
+    model = DetectorModel(
+        concept_id=event_id,
+        channels=["rep"],
+        beta=np.array([1.0]),
+        alpha=np.array([0.1 + 0.2, 1.0 / 3.0, 0.25]),  # the first two are not f32 values
         support_labels=np.array([1.0, -1.0, 1.0]),
         bias=0.125,
-        support_ids=["im-1", "im-2", "im-3"],
-        support_features={
-            "syn-a": rng.random((3, 4)).astype(np.float32).astype(np.float64),
-            "syn-b": rng.random((3, 2)).astype(np.float32).astype(np.float64),
-        },
-        kernels={"syn-a": KernelSpec("linear"), "syn-b": KernelSpec("chi2", 2.0)},
-        platt=(-1.5, 0.25),
-        objective=0.875,
+        support_ids=["vid-3", "vid-0", "vid-4"],
+        support_features={"rep": table.columns(concept_ids)[[3, 0, 4]]},
+        kernels={"rep": KernelSpec("chi2", 0.5)},
+        platt=(-1.5, 0.1),
     )
+    det = EventDetector(
+        event_id=event_id, concept_ids=concept_ids, model=model, C=10.0, bandwidth=0.5,
+        bandwidth_scale=2.0, cv_ap=0.9375,
+    )
+    return det, table
 
 
-def assert_same_detector(a: DetectorModel, b: DetectorModel):
-    assert a.concept_id == b.concept_id
-    assert a.channels == b.channels
-    assert np.array_equal(a.beta, b.beta)
-    assert np.array_equal(a.alpha, b.alpha)
-    assert np.array_equal(a.support_labels, b.support_labels)
-    assert a.bias == b.bias
-    assert a.support_ids == b.support_ids
-    assert set(a.support_features) == set(b.support_features)
-    for c in a.support_features:
-        assert np.array_equal(a.support_features[c], b.support_features[c])
-    assert a.kernels == b.kernels
-    assert a.platt == b.platt
-    assert a.objective == b.objective
+def assert_same_detector(a: EventDetector, b: EventDetector):
+    assert (a.event_id, a.concept_ids, a.C, a.bandwidth, a.bandwidth_scale, a.cv_ap) == (
+        b.event_id, b.concept_ids, b.C, b.bandwidth, b.bandwidth_scale, b.cv_ap
+    )
+    ma, mb = a.model, b.model
+    assert (ma.concept_id, ma.channels, ma.kernels) == (mb.concept_id, mb.channels, mb.kernels)
+    assert (ma.bias, ma.platt, ma.support_ids) == (mb.bias, mb.platt, mb.support_ids)
+    for x, y in ((ma.beta, mb.beta), (ma.alpha, mb.alpha), (ma.support_labels, mb.support_labels)):
+        assert np.array_equal(x, y)
+    assert set(ma.support_features) == set(mb.support_features) == {"rep"}
+    assert np.array_equal(ma.support_features["rep"], mb.support_features["rep"])
 
 
 def test_detector_round_trip(tmp_path):
     store = ModelStore(tmp_path / "store")
     store.initialize("h")
-    model = sample_detector()
-    store.save_detector(model)
-    # float32 storage is exact because the sample values are f32-representable
-    assert_same_detector(store.load_detector("con-7"), model)
-
-
-def test_detector_blob_guards(tmp_path):
-    store = ModelStore(tmp_path / "store")
-    store.initialize("h")
-    model = sample_detector()
-    store.save_detector(model)
-    bin_path = store.path("event_detectors", "con-7.bin")
-    whole = bin_path.read_bytes()
-    bin_path.write_bytes(whole + b"\x00\x00\x00\x00")
-    with pytest.raises(DataFormatError, match="trailing data"):
-        store.load_detector("con-7")
-    bin_path.write_bytes(whole[:-4])
-    with pytest.raises(DataFormatError, match="truncated"):
-        store.load_detector("con-7")
-    bin_path.unlink()
-    with pytest.raises(PreconditionError, match="missing detector data"):
-        store.load_detector("con-7")
-    with pytest.raises(PreconditionError, match="missing store artifact"):
-        store.load_detector("con-unknown")
+    det, table = sample_event_detector()
+    store.save_detector(det)
+    clone = store.load_detector("evt-0002", table)
+    assert_same_detector(clone, det)
+    assert clone.model.support_features["rep"].flags.c_contiguous  # as chi2_distances needs
+    assert clone.confidences(table) == det.confidences(table)
 
 
 def test_event_detector_round_trip(tmp_path):
+    """One JSON per model, every float written exactly, the support set
+    as [video id, alpha, label] rows in trained order."""
     store = ModelStore(tmp_path / "store")
     store.initialize("h")
-    inner = sample_detector("evt-0002")
-    inner.channels = ["rep"]
-    inner.beta = np.array([1.0])
-    inner.support_features = {"rep": np.eye(3)}
-    inner.kernels = {"rep": KernelSpec("chi2", 0.5)}
-    det = EventDetector(
-        event_id="evt-0002",
-        concept_ids=["con-1", "con-2"],
-        model=inner,
-        C=10.0,
-        bandwidth=0.5,
-        bandwidth_scale=2.0,
-        cv_ap=0.9375,
-    )
-    store.save_event_detector(det)
-    meta = store.read_json("event_detectors/evt-0002.meta.json")
-    assert (meta["event_id"], meta["concept_ids"]) == ("evt-0002", ["con-1", "con-2"])
-    assert (meta["C"], meta["bandwidth"], meta["bandwidth_scale"]) == (10.0, 0.5, 2.0)
-    assert meta["cv_ap"] == 0.9375
-    clone = store.load_detector(meta["model"])
-    assert_same_detector(clone, inner)
+    det, _ = sample_event_detector()
+    store.save_detector(det)
+    assert [p.name for p in store.path("event_detectors").iterdir()] == ["evt-0002.json"]
+    doc = store.read_json("event_detectors/evt-0002.json")
+    assert doc == {
+        "event_id": "evt-0002",
+        "concept_ids": ["con-3", "con-1", "con-3"],
+        "C": 10.0,
+        "bandwidth": 0.5,
+        "bandwidth_scale": 2.0,
+        "cv_ap": 0.9375,
+        "bias": 0.125,
+        "platt": {"a": -1.5, "b": 0.1},
+        "support": [["vid-3", 0.1 + 0.2, 1.0], ["vid-0", 1.0 / 3.0, -1.0], ["vid-4", 0.25, 1.0]],
+    }
+
+
+def _support_row(doc, k, row):
+    return {**doc, "support": doc["support"][:k] + [row] + doc["support"][k + 1 :]}
+
+
+DETECTOR_CORRUPTIONS = [  # (case, message, stored doc -> corrupted doc)
+    ("key missing", "wrong-typed key", lambda d: {k: v for k, v in d.items() if k != "bias"}),
+    ("key null", "wrong-typed key", lambda d: {**d, "bandwidth": None}),
+    ("key a string", "wrong-typed key", lambda d: {**d, "C": "10"}),
+    ("int alpha", "wrong-typed key", lambda d: _support_row(d, 0, ["vid-3", 1, 1.0])),
+    ("short support row", "wrong-typed key", lambda d: _support_row(d, 0, ["vid-3", 0.5])),
+    ("platt half", "wrong-typed key", lambda d: {**d, "platt": {"a": -1.5}}),
+    ("list root", "wrong-typed key", lambda d: [d]),
+    ("another event", "holds event 'evt-9'", lambda d: {**d, "event_id": "evt-9"}),
+    ("zero bandwidth", "bandwidth must be positive", lambda d: {**d, "bandwidth": 0.0}),
+    ("support id not a row", "support video 'vid-9'",
+     lambda d: _support_row(d, 1, ["vid-9", *d["support"][1][1:]])),
+    ("concept id not a column", "lack concept con-9",
+     lambda d: {**d, "concept_ids": d["concept_ids"] + ["con-9"]}),
+]
+
+
+@pytest.mark.parametrize(
+    "message,corrupt", [c[1:] for c in DETECTOR_CORRUPTIONS],
+    ids=[c[0] for c in DETECTOR_CORRUPTIONS],
+)
+def test_detector_loader_rejects_malformed_files(tmp_path, message, corrupt):
+    store = ModelStore(tmp_path / "store")
+    store.initialize("h")
+    det, table = sample_event_detector()
+    store.save_detector(det)
+    path = store.path("event_detectors", "evt-0002.json")
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(corrupt(doc)), encoding="utf-8")
+    with pytest.raises(DataFormatError, match=message) as info:
+        store.load_detector("evt-0002", table)
+    assert str(path) in str(info.value)
+
+
+def test_detector_loader_rejects_unreadable_files(tmp_path):
+    store = ModelStore(tmp_path / "store")
+    store.initialize("h")
+    det, table = sample_event_detector()
+    store.save_detector(det)
+    path = store.path("event_detectors", "evt-0002.json")
+    for raw in (b"\xff\xfe{}", b"{"):
+        path.write_bytes(raw)
+        with pytest.raises(DataFormatError, match="corrupt store artifact") as info:
+            store.load_detector("evt-0002", table)
+        assert str(path) in str(info.value)
+    with pytest.raises(PreconditionError, match="missing store artifact"):
+        store.load_detector("evt-unknown", table)
 
 
 def test_stage_marks_do_not_disturb_other_stages(tmp_path):

@@ -11,7 +11,8 @@ import pytest
 from conceptbank.cli import main
 from conceptbank.errors import PreconditionError
 from conceptbank.formats import read_cbdt, read_cbfh, read_cbvr, write_cbdt, write_cbfh, write_cbvr
-from conceptbank.pipeline import STAGES, run_all, run_stage
+from conceptbank.pipeline import STAGES, _load_reps, _sorted_events, _tree, run_all, run_stage
+from conceptbank.retrieve import detect_events
 
 
 def test_stage_order_is_gated_by_upstream(corpus_config, tmp_path):
@@ -96,7 +97,7 @@ OWNED = {
     "match": ("plans/*.json",),
     "represent": ("representations/*.cbvr",),
     "retrieve": ("reports/retrieval/*.json",),
-    "detect": ("event_detectors/*", "reports/detection/*.json"),
+    "detect": ("event_detectors/*.json", "reports/detection/*.json"),
     "eval": ("reports/eval.json",),
     "recount": ("reports/recount.json",),
 }
@@ -115,6 +116,21 @@ def test_each_stage_writes_only_the_files_it_owns(corpus_config, tmp_path):
     for rel in set(before) - {"manifest.json"}:
         owners = [s for s, globs in OWNED.items() if any(fnmatchcase(rel, g) for g in globs)]
         assert len(owners) == 1, (rel, owners)
+
+
+def test_a_stored_event_model_reproduces_its_detection_report(full_store):
+    """detect leaves one model file per detectable event; each, rebuilt on
+    the train representations, ranks the test videos exactly as its
+    report does."""
+    events = [event.id for event in _sorted_events(_tree(full_store))]
+    assert sorted(p.name for p in full_store.path("event_detectors").iterdir()) == [
+        f"{event}.json" for event in events
+    ]
+    train, test = _load_reps(full_store, "train"), _load_reps(full_store, "test")
+    for event in events:
+        ranking = detect_events([full_store.load_detector(event, train)], test)[event]
+        report = full_store.read_json(f"reports/detection/{event}.json")
+        assert [[vid, conf] for vid, conf in ranking] == report["ranking"], event
 
 
 def _add_a_concept_leaf(tree_doc: dict) -> None:
